@@ -19,6 +19,7 @@ shift-invert path is available and flattening falls back to a sparse matrix.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -500,8 +501,9 @@ def shift_invert_eigenpair(
     tol: float = 1e-10,
     max_iter: int = 200,
     seed: int = 12345,
+    shifted_factor: Optional[Callable] = None,
 ) -> EigenResult:
-    """Eigenpair of the pencil (A, B) nearest ``target`` by inverse iteration.
+    """Eigenpair of the pencil (A, B) found by inverse iteration from ``target``.
 
     Factors (A − target·B) once and reuses the factorization; when the
     iteration stalls (the residual stops contracting) it refactors at the
@@ -509,6 +511,19 @@ def shift_invert_eigenpair(
     target was not close enough to the wanted eigenvalue. The Rayleigh
     quotient is the least-squares one, ⟨Bx, Ax⟩/⟨Bx, Bx⟩, so a singular B
     (a pencil with constraint rows) is handled without special casing.
+
+    The result is not guaranteed to be the eigenvalue nearest ``target``.
+    Inverse iteration heads for the eigenvalue nearest the current shift,
+    and a refactorization moves that shift to the Rayleigh quotient of the
+    iterate, which may lie closer to a neighbouring eigenvalue. What holds
+    is that the returned pair meets ``tol`` on the residual; callers that
+    need a particular root compare against an oracle.
+
+    ``shifted_factor`` replaces the direct LU of (A − z·B): a callable
+    taking the shift z and returning an object whose ``solve(b)`` applies
+    (A − z·B)⁻¹, raising :class:`ShiftSingularError` for a singular shift.
+    A and B are then used only for products, the Rayleigh quotient and the
+    post-hoc residual.
 
     The start vector is drawn from a seeded generator, and the returned
     residual is recomputed independently after the loop, so repeated runs
@@ -534,7 +549,9 @@ def shift_invert_eigenpair(
         amat.data if sp.issparse(amat) else amat
     )
     z = complex(target) if complex_problem else float(np.real(target))
-    factor = _shifted_factor(amat, bmat, z)
+    if shifted_factor is None:
+        shifted_factor = functools.partial(_shifted_factor, amat, bmat)
+    factor = shifted_factor(z)
     factorizations = 1
     shifts = [z]
 
@@ -585,7 +602,7 @@ def shift_invert_eigenpair(
                 if not complex_problem:
                     znew = float(np.real(znew))
                 try:
-                    factor = _shifted_factor(amat, bmat, znew)
+                    factor = shifted_factor(znew)
                 except ShiftSingularError:
                     continue
                 z = znew

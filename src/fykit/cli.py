@@ -538,7 +538,9 @@ def cmd_solve4(args, out: _Out, cfg: RunConfig, seed: int) -> int:
         target = cfg.target
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        res = solve_fourbody_ground_state(sysy, target, tol=cfg.tol, max_iter=cfg.max_iter)
+        res = solve_fourbody_ground_state(
+            sysy, target, tol=cfg.tol, max_iter=cfg.max_iter, seed=seed
+        )
     for w in caught:
         out.comment(f"warning: {w.message}")
     z = float(np.real(res.value))

@@ -17,6 +17,17 @@ of 3+1 partitions carry 6 off-diagonal blocks, rows of 2+2 partitions carry
 implicit validity filter (only defined components enter) is exactly what
 :func:`fykit.combinatorics.verify_chain_identity` certifies.
 
+Summing the rows of one pair γ over the partitions a ⊃ γ collapses the
+system onto the six pair sums s_γ = Σ_{a⊃γ} ψ_{aγ}: every β ≠ γ lies inside
+exactly one such partition, so the sums obey the three-body-style Faddeev
+equations (H0 + Vγ − z) s_γ + Vγ Σ_{β≠γ} s_β = (pair sum of the right-hand
+side). The shifted four-body solve uses that reduction: it factors the
+6-block Faddeev operator and the six channel operators H0 + Vα, solves for
+the pair sums, and recovers each chain component from its own channel. The
+flattened 18-block operator is assembled only for products, Rayleigh
+quotients and the post-hoc residual, so the check stays independent of the
+reduced solve.
+
 For four identical particles the components are pairwise related by the
 exact lattice permutation operators; the checks here measure that transport
 instead of assuming it.
@@ -24,6 +35,7 @@ instead of assuming it.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -34,6 +46,8 @@ from .blockops import (
     BlockOperator,
     EigenResult,
     Operator,
+    _shifted_factor,
+    _solver_matrix,
     dense_eigenvalues,
     dense_limit,
     linear_solve,
@@ -54,7 +68,7 @@ from .errors import (
     SingularMatrixError,
     SpuriousRootWarning,
 )
-from .faddeev import FaddeevComponents, FewBodySplit
+from .faddeev import FaddeevComponents, FewBodySplit, assemble_faddeev_operator
 
 __all__ = [
     "YakubovskySystem",
@@ -276,11 +290,56 @@ def yakubovsky_residual(sys: YakubovskySystem, comps: YakubovskyComponents) -> n
     return out
 
 
+def _is_hermitian(op: Operator) -> bool:
+    m = op.to_sparse()
+    return (m - m.conj().T).count_nonzero() == 0
+
+
 def _channel_spectra(sys: YakubovskySystem) -> list[np.ndarray]:
-    spectra = [dense_eigenvalues(sys.split.h0)]
-    for v in sys.split.potentials:
-        spectra.append(dense_eigenvalues(sys.split.h0 + v))
+    split = sys.split
+    hermitian = all(_is_hermitian(op) for op in (split.h0, *split.potentials))
+    spectra = [dense_eigenvalues(split.h0, hermitian=hermitian)]
+    for v in split.potentials:
+        spectra.append(dense_eigenvalues(split.h0 + v, hermitian=hermitian))
     return spectra
+
+
+class _PairSumFactor:
+    """(A − z)⁻¹ for the flattened 18-block operator A, through the pair sums.
+
+    Solving (A − z) x = b: the pair sums s = S x solve the 6-block Faddeev
+    system (F − z) s = S b, where S sums the chain blocks of each pair; then
+    x_{aα} = (H0 + Vα − z)⁻¹ (b_{aα} − Vα Σ_{(β≠α)⊂a} s_β). Both steps are
+    exact, so A − z is singular exactly when F − z or a channel is, and
+    either raises :class:`ShiftSingularError` from its factorization.
+    """
+
+    def __init__(self, sys: YakubovskySystem, faddeev_flat, z):
+        split, pairs, chains = sys.split, sys.pairs, sys.chains
+        self.potentials = split.potentials
+        # chain indices of each pair, and the other pairs inside each chain's partition
+        self.pair_rows = [[i for i, c in enumerate(chains) if c.pair == p] for p in pairs]
+        self.chain_others = [
+            [pairs.index(b) for b in c.partition.internal_pairs() if b != c.pair]
+            for c in chains
+        ]
+        self.faddeev = _shifted_factor(faddeev_flat, None, z)
+        self.channels = [
+            _shifted_factor(_solver_matrix(split.h0 + v), None, z) for v in split.potentials
+        ]
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        blocks = np.asarray(b).reshape(len(self.chain_others), -1)
+        pair_rhs = np.stack([blocks[rows].sum(axis=0) for rows in self.pair_rows])
+        sums = self.faddeev.solve(pair_rhs.ravel()).reshape(pair_rhs.shape)
+        out = np.empty(blocks.shape, dtype=np.result_type(blocks, sums))
+        for rows, channel, v in zip(self.pair_rows, self.channels, self.potentials):
+            rhs = np.stack(
+                [blocks[i] - v.apply(sums[self.chain_others[i]].sum(axis=0)) for i in rows],
+                axis=1,
+            )
+            out[rows] = channel.solve(rhs).T
+        return out.ravel()
 
 
 def solve_fourbody_ground_state(
@@ -288,11 +347,15 @@ def solve_fourbody_ground_state(
     target: float,
     tol: float = 1e-10,
     max_iter: int = 200,
+    seed: int = 12345,
 ) -> EigenResult:
-    """Shift-invert solve of the flattened 18-block operator near ``target``.
+    """Shift-invert solve of the flattened 18-block operator from ``target``.
 
-    Beyond the dense limit the flatten is assembled sparse and only this
-    iterative path exists. The returned eigenvalue is checked against the
+    Each shifted solve goes through the six Faddeev pair sums
+    (:class:`_PairSumFactor`), so nothing larger than the 6-block Faddeev
+    operator is factored; the 18-block flatten (sparse beyond the dense
+    limit) serves only the products and the post-hoc residual. ``seed``
+    fixes the start vector. The returned eigenvalue is checked against the
     unperturbed and channel spectra: the enlarged operator carries auxiliary
     spectrum there, and landing within 1e−6 of it triggers a
     :class:`SpuriousRootWarning` (the auxiliary set of the 18-block operator
@@ -303,12 +366,16 @@ def solve_fourbody_ground_state(
     giving up, since an exact hit just means the target was an eigenvalue.
     """
     flat = assemble_yakubovsky_operator(sys).flatten()
+    faddeev_flat = _solver_matrix(assemble_faddeev_operator(sys.split).flatten())
+    factor = functools.partial(_PairSumFactor, sys, faddeev_flat)
     shift = float(target)
     last_exc: Optional[ShiftSingularError] = None
     result = None
     for attempt in range(3):
         try:
-            result = shift_invert_eigenpair(flat, shift, tol=tol, max_iter=max_iter)
+            result = shift_invert_eigenpair(
+                flat, shift, tol=tol, max_iter=max_iter, seed=seed, shifted_factor=factor
+            )
             break
         except ShiftSingularError as exc:
             last_exc = exc
