@@ -1,20 +1,24 @@
 """Operators, block operators, and the dense/iterative eigen and solve kernels.
 
 Every other module builds on the two containers here. :class:`Operator` wraps
-one square linear map in whichever representation is cheapest (dense array,
-diagonal vector, sparse matrix, or a bare apply callable with an explicit
-dimension). :class:`BlockOperator` is an m-by-m grid of same-sized optional
-blocks whose :meth:`~BlockOperator.flatten` produces the single big operator
-the eigen kernels consume.
+one square linear map in whichever of three representations is cheapest
+(dense array, diagonal vector or sparse matrix). :class:`BlockOperator` is an
+m-by-m grid of same-sized optional blocks whose :meth:`~BlockOperator.flatten`
+produces the single big operator the eigen kernels consume.
 
 All scalars are double precision. Eigenvalues may be complex: the coupled
 component operators assembled downstream are non-Hermitian even when the
 underlying Hamiltonian is Hermitian, so the dense kernel is a general
 (Hessenberg + QR) routine, not a symmetric one.
 
-Dense work is capped by :func:`dense_limit` (default 4096, overridable with
-the ``FY_DENSE_LIMIT`` environment variable); beyond the cap only the
-shift-invert path is available and flattening falls back to a sparse matrix.
+Dense work is capped by :func:`dense_limit` (default 4096). The
+``FY_DENSE_LIMIT`` environment variable is the one way to change the cap; no
+config file sets it. Beyond the cap only the shift-invert path is available
+and flattening falls back to a sparse matrix.
+
+Every shift-invert solve in the package goes through
+:func:`shift_invert_retry`, which retries a singular start shift with a
+nudged target.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ __all__ = [
     "dense_eigenvalues",
     "linear_solve",
     "shift_invert_eigenpair",
+    "shift_invert_retry",
     "match_spectra",
     "match_into",
     "dump_matrix_text",
@@ -87,25 +92,24 @@ def _as_2d_array(a) -> np.ndarray:
 
 
 class Operator:
-    """A square linear map with one of four storage kinds.
+    """A square linear map with one of three storage kinds.
 
     Kinds: ``dense`` (2-D array), ``diagonal`` (1-D array of the diagonal),
-    ``sparse`` (scipy CSR), ``matfree`` (apply callable plus dimension).
-    Instances are immutable; arithmetic returns new operators and picks the
-    cheapest representation that can hold the result exactly.
+    ``sparse`` (scipy CSR). Every kind can be materialized. Instances are
+    immutable; arithmetic returns new operators and picks the cheapest
+    representation that can hold the result exactly.
     """
 
-    __slots__ = ("kind", "dim", "_data", "_apply")
+    __slots__ = ("kind", "dim", "_data")
 
-    def __init__(self, kind: str, dim: int, data=None, apply_fn=None):
-        if kind not in ("dense", "diagonal", "sparse", "matfree"):
+    def __init__(self, kind: str, dim: int, data):
+        if kind not in ("dense", "diagonal", "sparse"):
             raise InvalidInputError(f"unknown operator kind {kind!r}")
         if dim < 1:
             raise InvalidInputError(f"operator dimension must be positive, got {dim}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "_data", data)
-        object.__setattr__(self, "_apply", apply_fn)
 
     def __setattr__(self, name, value):
         raise AttributeError("Operator is immutable")
@@ -133,12 +137,6 @@ class Operator:
         return cls("sparse", mat.shape[0], data=mat)
 
     @classmethod
-    def matfree(cls, apply_fn: Callable[[np.ndarray], np.ndarray], dim: int) -> "Operator":
-        if not callable(apply_fn):
-            raise InvalidInputError("matfree operator needs a callable")
-        return cls("matfree", int(dim), apply_fn=apply_fn)
-
-    @classmethod
     def zero(cls, dim: int) -> "Operator":
         return cls.diagonal(np.zeros(dim))
 
@@ -152,38 +150,26 @@ class Operator:
         x = np.asarray(x)
         if x.shape[0] != self.dim:
             raise InvalidInputError(f"vector length {x.shape[0]} != operator dim {self.dim}")
-        if self.kind == "dense":
-            return self._data @ x
         if self.kind == "diagonal":
             if x.ndim == 1:
                 return self._data * x
             return self._data[:, None] * x
-        if self.kind == "sparse":
-            return self._data @ x
-        return self._apply(x)
+        return self._data @ x
 
     def materialize(self) -> np.ndarray:
-        """Dense square array equal to this operator.
-
-        Matrix-free operators cannot be materialized; callers that need a
-        concrete matrix must construct one of the other kinds.
-        """
+        """Dense square array equal to this operator."""
         if self.kind == "dense":
             return self._data.copy()
         if self.kind == "diagonal":
             return np.diag(self._data)
-        if self.kind == "sparse":
-            return self._data.toarray()
-        raise InvalidInputError("matrix-free operator cannot be materialized")
+        return self._data.toarray()
 
     def to_sparse(self) -> sp.csr_matrix:
         if self.kind == "dense":
             return sp.csr_matrix(self._data)
         if self.kind == "diagonal":
             return sp.diags(self._data).tocsr()
-        if self.kind == "sparse":
-            return self._data.copy()
-        raise InvalidInputError("matrix-free operator has no sparse form")
+        return self._data.copy()
 
     @property
     def diagonal_data(self) -> np.ndarray:
@@ -201,9 +187,6 @@ class Operator:
         a, b = self, other
         if a.kind == "diagonal" and b.kind == "diagonal":
             return Operator.diagonal(a._data + sign * b._data)
-        if a.kind == "matfree" or b.kind == "matfree":
-            fa, fb = a.apply, b.apply
-            return Operator.matfree(lambda x: fa(x) + sign * fb(x), self.dim)
         if a.kind == "sparse" or b.kind == "sparse":
             return Operator.sparse(a.to_sparse() + sign * b.to_sparse())
         return Operator.dense(a.materialize() + sign * b.materialize())
@@ -224,10 +207,7 @@ class Operator:
             return Operator.dense(self._data * scalar)
         if self.kind == "diagonal":
             return Operator.diagonal(self._data * scalar)
-        if self.kind == "sparse":
-            return Operator.sparse(self._data * scalar)
-        fa = self.apply
-        return Operator.matfree(lambda x: scalar * fa(x), self.dim)
+        return Operator.sparse(self._data * scalar)
 
     __rmul__ = __mul__
 
@@ -239,10 +219,7 @@ class Operator:
             out = self._data.astype(np.result_type(self._data.dtype, type(z)), copy=True)
             out[np.diag_indices(self.dim)] -= z
             return Operator.dense(out)
-        if self.kind == "sparse":
-            return Operator.sparse(self._data - z * sp.identity(self.dim, format="csr"))
-        fa = self.apply
-        return Operator.matfree(lambda x: fa(x) - z * x, self.dim)
+        return Operator.sparse(self._data - z * sp.identity(self.dim, format="csr"))
 
     def __repr__(self):
         return f"Operator(kind={self.kind!r}, dim={self.dim})"
@@ -482,8 +459,6 @@ def _shifted_factor(amat, bmat, z):
 def _solver_matrix(a):
     """Dense array or CSR matrix suitable for factorization, from any accepted form."""
     if isinstance(a, Operator):
-        if a.kind == "matfree":
-            raise InvalidInputError("shift-invert needs a materializable operator")
         if a.kind == "sparse":
             return a.to_sparse()
         if a.kind == "diagonal":
@@ -531,7 +506,7 @@ def shift_invert_eigenpair(
     iterate that produced it.
 
     Raises :class:`ShiftSingularError` when the shifted matrix cannot be
-    factored (the caller perturbs the target and retries), and
+    factored (:func:`shift_invert_retry` perturbs the target and retries), and
     :class:`SolverFailureError` with diagnostics when the iteration budget
     is exhausted.
     """
@@ -655,6 +630,36 @@ def shift_invert_eigenpair(
         factorizations=factorizations,
         shift_history=tuple(shifts),
     )
+
+
+def shift_invert_retry(
+    a,
+    target,
+    b=None,
+    tol: float = 1e-10,
+    max_iter: int = 200,
+    seed: int = 12345,
+    shifted_factor: Optional[Callable] = None,
+) -> EigenResult:
+    """:func:`shift_invert_eigenpair` from ``target``, nudged off a singular shift.
+
+    A singular start shift only means the target is an eigenvalue, so the
+    target t is retried at t + 1e−8·(1 + |t|) and then at
+    t′ + 1.01e−6·(1 + |t′|) before the last :class:`ShiftSingularError` is
+    re-raised. Every other argument is passed through unchanged.
+    """
+    shift = float(target)
+    last = None
+    for attempt in range(3):
+        try:
+            return shift_invert_eigenpair(
+                a, shift, b=b, tol=tol, max_iter=max_iter, seed=seed,
+                shifted_factor=shifted_factor,
+            )
+        except ShiftSingularError as exc:
+            last = exc
+            shift = shift + (1e-8 + attempt * 1e-6) * (1.0 + abs(shift))
+    raise last
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,6 @@ import json
 import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from configparser import ConfigParser, Error as ConfigParserError
 from importlib import resources
 from typing import Optional
@@ -30,7 +29,7 @@ from .blockops import (
     dense_eigenvalues,
     dense_limit,
     dump_matrix_text,
-    shift_invert_eigenpair,
+    shift_invert_retry,
 )
 from .combinatorics import chain_orbits, enumerate_chains, verify_chain_identity
 from .errors import (
@@ -81,7 +80,7 @@ from .yakubovsky import (
 
 _ALLOWED_KEYS = {
     "model": {"N", "L", "boundary", "t", "potential.kind", "potential.params", "core_radius"},
-    "solver": {"target", "tol", "max_iter", "dense_limit"},
+    "solver": {"target", "tol", "max_iter"},
     "check": {"seeds", "n", "dim", "hermitian"},
     "output": {"format", "path"},
 }
@@ -232,11 +231,6 @@ def load_config(name: str) -> RunConfig:
             cfg.max_iter = _parse_int("solver", "max_iter", sec["max_iter"])
             if cfg.max_iter < 1:
                 raise ConfigError(f"solver.max_iter must be >= 1, got {cfg.max_iter}")
-        if "dense_limit" in sec:
-            limit = _parse_int("solver", "dense_limit", sec["dense_limit"])
-            if limit < 1:
-                raise ConfigError(f"solver.dense_limit must be positive, got {limit}")
-            os.environ["FY_DENSE_LIMIT"] = str(limit)
 
     if cp.has_section("check"):
         sec = cp["check"]
@@ -296,18 +290,6 @@ def _header(out: _Out, command: str, cfg: Optional[RunConfig], seed: int) -> Non
         out.comment(f"config: {cfg.source}")
         out.comment(f"resolved: {cfg.echo()}")
     out.comment(f"seed: {seed}")
-
-
-def _shift_invert_retry(aflat, target, b=None, tol=1e-10, max_iter=200, seed=12345):
-    shift = float(target)
-    last = None
-    for attempt in range(3):
-        try:
-            return shift_invert_eigenpair(aflat, shift, b=b, tol=tol, max_iter=max_iter, seed=seed)
-        except ShiftSingularError as exc:
-            last = exc
-            shift = shift + (1e-8 + attempt * 1e-6) * (1.0 + abs(shift))
-    raise last
 
 
 def _require_model(cfg: RunConfig, n: Optional[int] = None, forbid_core: bool = False) -> LatticeModel:
@@ -482,7 +464,7 @@ def cmd_solve3(args, out: _Out, cfg: RunConfig, seed: int) -> int:
         out.comment(f"auto target from dense oracle: {_g(target)}")
     else:
         target = cfg.target
-    res = _shift_invert_retry(flat, target, tol=cfg.tol, max_iter=cfg.max_iter, seed=seed)
+    res = shift_invert_retry(flat, target, tol=cfg.tol, max_iter=cfg.max_iter, seed=seed)
     z = float(np.real(res.value))
     if model.dimension <= dense_limit():
         sigma_h0 = dense_eigenvalues(split.h0, hermitian=True)
@@ -604,19 +586,6 @@ def _parse_core_token(tok: str) -> Optional[int]:
         raise ConfigError(f"core radius must be an integer or 'none', got {tok!r}") from exc
 
 
-def _hardcore3_one(model: LatticeModel, core: Optional[int], target, tol, max_iter, surface_only):
-    m = dataclasses.replace(model, core_radius=core)
-    oracle = restricted_oracle(m, 1)[0]
-    kept = restricted_space(m)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = solve_hardcore3(
-            m, target=target, tol=tol, max_iter=max_iter, surface_only=surface_only
-        )
-    notes = [str(w.message) for w in caught]
-    return m, oracle, kept.shape[0], result, notes
-
-
 def cmd_hardcore3(args, out: _Out, cfg: RunConfig, seed: int) -> int:
     model = _require_model(cfg, n=3)
     if args.sweep:
@@ -633,13 +602,6 @@ def cmd_hardcore3(args, out: _Out, cfg: RunConfig, seed: int) -> int:
             dataclasses.replace(model, core_radius=cores[0]), surface_only=args.surface_only
         )
         _maybe_dump(args, pencil.a.flatten())
-    workers = min(4, len(cores))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_hardcore3_one, model, c, target, cfg.tol, cfg.max_iter, args.surface_only)
-            for c in cores
-        ]
-        rows = [f.result() for f in futures]
     out.record(
         "columns",
         "core  dim   pencil_eigenvalue     oracle_eigenvalue     difference        "
@@ -648,9 +610,19 @@ def cmd_hardcore3(args, out: _Out, cfg: RunConfig, seed: int) -> int:
                  "core_vanishing", "restricted_residual", "physical"],
     )
     bad = 0
-    for (m, oracle, rdim, result, notes) in rows:
-        for note in notes:
-            out.comment(f"warning: {note}")
+    for core in cores:
+        m = dataclasses.replace(model, core_radius=core)
+        oracle = restricted_oracle(m, 1)[0]
+        rdim = restricted_space(m).shape[0]
+        # Cores run one at a time, so every captured warning belongs to this row.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = solve_hardcore3(
+                m, target=oracle.value if target is None else target, tol=cfg.tol,
+                max_iter=cfg.max_iter, surface_only=args.surface_only, seed=seed,
+            )
+        for w in caught:
+            out.comment(f"warning: {w.message}")
         z = float(np.real(result.eigen.value))
         diff = abs(z - oracle.value)
         ok = result.physical and diff <= 1e-8

@@ -57,10 +57,6 @@ class PreconditionError(ToolkitError):
         self.measured = measured
 
 
-class UnsupportedGeometryError(ToolkitError):
-    """A hard-core constraint layout cannot be represented consistently."""
-
-
 class InternalConsistencyError(ToolkitError):
     """An identity that must hold by construction was violated. Seeing this
     error means the package itself is broken."""

@@ -44,12 +44,11 @@ from .blockops import (
     EigenResult,
     Operator,
     dense_limit,
-    shift_invert_eigenpair,
+    shift_invert_retry,
 )
 from .combinatorics import Chain, Pair
 from .errors import (
     InvalidInputError,
-    ShiftSingularError,
     SpuriousRootWarning,
     TooLargeError,
 )
@@ -295,6 +294,7 @@ def solve_hardcore3(
     tol: float = 1e-10,
     max_iter: int = 300,
     surface_only: bool = False,
+    seed: int = 12345,
 ) -> Hardcore3Result:
     """Shift-invert on the hard-core pencil, with post-hoc physicality tests.
 
@@ -304,31 +304,17 @@ def solve_hardcore3(
     auxiliary roots (B has zero rows) are filtered, not trusted: the
     reconstruction Ψ = Σβ ψβ must vanish on every core site and satisfy the
     restricted equation, otherwise the result is flagged and a warning
-    raised.
+    raised. ``seed`` fixes the start vector of the inverse iteration.
     """
     pencil = assemble_hardcore3_pencil(model, surface_only=surface_only)
     kept = restricted_space(model)
     if target is None:
-        if model.has_core:
-            target = restricted_oracle(model, 1)[0].value
-        else:
-            target = dense_oracle_spectrum(model, 1)[0].value
+        target = restricted_oracle(model, 1)[0].value
     target = float(target)
 
-    aflat = pencil.a.flatten()
-    bflat = pencil.b.flatten()
-    shift = target
-    result = None
-    last_exc: Optional[ShiftSingularError] = None
-    for attempt in range(3):
-        try:
-            result = shift_invert_eigenpair(aflat, shift, b=bflat, tol=tol, max_iter=max_iter)
-            break
-        except ShiftSingularError as exc:
-            last_exc = exc
-            shift = shift + (1e-8 + attempt * 1e-6) * (1.0 + abs(shift))
-    if result is None:
-        raise last_exc
+    result = shift_invert_retry(
+        pencil.a.flatten(), target, b=pencil.b.flatten(), tol=tol, max_iter=max_iter, seed=seed
+    )
 
     comps = tuple(pencil.a.block_rows(np.real_if_close(result.vector)))
     psi = np.sum(comps, axis=0)

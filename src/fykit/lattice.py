@@ -40,12 +40,14 @@ __all__ = [
     "build_permutation",
     "separations",
     "coordinate_table",
-    "MATFREE_CAP",
+    "DIMENSION_CAP",
 ]
 
-# Hard ceiling on L^N for any build; dense oracles use dense_limit() (4096
-# by default). 20736 = 12^4 keeps matrix-free four-body work at desk scale.
-MATFREE_CAP = 20736
+# Hard ceiling on the configuration-space dimension L^N of any model; dense
+# work is capped separately by dense_limit() (4096 by default), and sparse
+# builds fill the gap between the two. 20736 = 12^4 keeps four-body work at
+# desk scale.
+DIMENSION_CAP = 20736
 
 _POTENTIAL_KINDS = ("onsite", "square", "gaussian", "table")
 
@@ -154,9 +156,9 @@ class LatticeModel:
                 raise InvalidInputError(
                     f"core_radius {self.core_radius} leaves no allowed separations on L={self.L}"
                 )
-        if self.dimension > MATFREE_CAP:
+        if self.dimension > DIMENSION_CAP:
             raise TooLargeError(
-                f"configuration space {self.L}^{self.N} = {self.dimension} exceeds cap {MATFREE_CAP}"
+                f"configuration space {self.L}^{self.N} = {self.dimension} exceeds cap {DIMENSION_CAP}"
             )
         if self.per_pair is not None:
             pairs = {p.members for p in enumerate_pairs(self.N)} if self.N >= 2 else set()

@@ -51,7 +51,8 @@ from .blockops import (
     dense_eigenvalues,
     dense_limit,
     linear_solve,
-    shift_invert_eigenpair,
+    shift_invert_eigenpair,  # noqa: F401  (perfbench's hook test rebinds it here)
+    shift_invert_retry,
 )
 from .combinatorics import (
     Chain,
@@ -64,7 +65,6 @@ from .combinatorics import (
 from .errors import (
     ChannelEnergyError,
     InvalidInputError,
-    ShiftSingularError,
     SingularMatrixError,
     SpuriousRootWarning,
 )
@@ -360,28 +360,14 @@ def solve_fourbody_ground_state(
     spectrum there, and landing within 1e−6 of it triggers a
     :class:`SpuriousRootWarning` (the auxiliary set of the 18-block operator
     is measured, not given by a theorem, so this is a warning rather than an
-    error).
-
-    A singular shift is retried with a relatively nudged target before
-    giving up, since an exact hit just means the target was an eigenvalue.
+    error). A singular start shift is nudged by :func:`shift_invert_retry`.
     """
     flat = assemble_yakubovsky_operator(sys).flatten()
     faddeev_flat = _solver_matrix(assemble_faddeev_operator(sys.split).flatten())
     factor = functools.partial(_PairSumFactor, sys, faddeev_flat)
-    shift = float(target)
-    last_exc: Optional[ShiftSingularError] = None
-    result = None
-    for attempt in range(3):
-        try:
-            result = shift_invert_eigenpair(
-                flat, shift, tol=tol, max_iter=max_iter, seed=seed, shifted_factor=factor
-            )
-            break
-        except ShiftSingularError as exc:
-            last_exc = exc
-            shift = shift + (1e-8 + attempt * 1e-6) * (1.0 + abs(shift))
-    if result is None:
-        raise last_exc
+    result = shift_invert_retry(
+        flat, target, tol=tol, max_iter=max_iter, seed=seed, shifted_factor=factor
+    )
     if sys.dim <= dense_limit():
         z = result.value
         for spec in _channel_spectra(sys):
@@ -455,18 +441,53 @@ def _measure_sign(psi: np.ndarray, u) -> tuple[float, float]:
     return s, defect
 
 
-def _transport_check(items, vectors, perm_ops, permute_item, psi, degeneracy_hint):
-    """Shared engine: verify U_π vec_i = s(π) vec_{π(i)} for labeled vectors."""
+def _symmetry_check(
+    split: FewBodySplit,
+    pairs: Sequence[Pair],
+    items: Sequence,
+    vectors: Sequence[np.ndarray],
+    psi: np.ndarray,
+    z,
+    permute_item,
+    perm_ops: Sequence,
+    oracle_values: Optional[Sequence[float]],
+    degeneracy_gap: float,
+    covariance_tol: float,
+) -> SymmetryReport:
+    """Shared engine: verify U_π vec_i = s(π) vec_{π(i)} for labeled vectors.
+
+    ``items`` label ``vectors`` and ``permute_item`` maps a label under a
+    permutation; ``psi`` is the total state whose sign s(π) is measured.
+    """
+    cov, comm = _check_covariance(split.h0, split.potentials, pairs, perm_ops)
+    if cov > covariance_tol or comm > covariance_tol:
+        raise InvalidInputError(
+            f"permutation covariance violated: potential defect {cov:.2e}, "
+            f"H0 commutation defect {comm:.2e}"
+        )
+    skipped = functools.partial(
+        SymmetryReport, max_deviation=np.nan, skipped=True,
+        covariance_defect=cov, commutation_defect=comm,
+    )
+    if oracle_values is not None:
+        z = np.real(z)
+        vals = np.asarray(oracle_values, dtype=float)
+        if int(np.sum(np.abs(vals - z) <= degeneracy_gap)) > 1:
+            return skipped(
+                sign_table={},
+                notice=f"level {z} is degenerate within {degeneracy_gap:.1e}; check skipped",
+            )
     index = {item: i for i, item in enumerate(items)}
     sign_table = {}
     max_dev = 0.0
     for u in perm_ops:
         s, sign_defect = _measure_sign(psi, u)
         sign_table[u.perm] = s
-        if sign_defect > degeneracy_hint:
-            return None, sign_table, (
-                f"total state is not a sign eigenvector of permutation {u.perm} "
-                f"(defect {sign_defect:.2e}); level is degenerate or asymmetric"
+        if sign_defect > 1e-6:
+            return skipped(
+                sign_table=sign_table,
+                notice=f"total state is not a sign eigenvector of permutation {u.perm} "
+                f"(defect {sign_defect:.2e}); level is degenerate or asymmetric",
             )
         for item, vec in zip(items, vectors):
             mapped = vectors[index[permute_item(u.perm, item)]]
@@ -474,7 +495,14 @@ def _transport_check(items, vectors, perm_ops, permute_item, psi, degeneracy_hin
                 np.linalg.norm(vec), _NORM_FLOOR
             )
             max_dev = max(max_dev, float(dev))
-    return max_dev, sign_table, ""
+    return SymmetryReport(
+        max_deviation=max_dev,
+        sign_table=sign_table,
+        skipped=False,
+        notice="",
+        covariance_defect=cov,
+        commutation_defect=comm,
+    )
 
 
 def component_symmetry_check(
@@ -497,45 +525,9 @@ def component_symmetry_check(
     detected from the supplied oracle eigenvalues when given, and from the
     sign-eigenvector defect of Ψ otherwise.
     """
-    cov, comm = _check_covariance(sys.split.h0, sys.split.potentials, sys.pairs, perm_ops)
-    if cov > covariance_tol or comm > covariance_tol:
-        raise InvalidInputError(
-            f"permutation covariance violated: potential defect {cov:.2e}, "
-            f"H0 commutation defect {comm:.2e}"
-        )
-    if oracle_values is not None:
-        z = np.real(comps.z)
-        vals = np.sort(np.asarray(oracle_values, dtype=float))
-        close = np.abs(vals - z) <= degeneracy_gap
-        if int(np.sum(close)) > 1:
-            return SymmetryReport(
-                max_deviation=np.nan,
-                sign_table={},
-                skipped=True,
-                notice=f"level {z} is degenerate within {degeneracy_gap:.1e}; check skipped",
-                covariance_defect=cov,
-                commutation_defect=comm,
-            )
-    psi = faddeev.total()
-    max_dev, signs, notice = _transport_check(
-        sys.chains, list(comps.components), perm_ops, permute_chain, psi, 1e-6
-    )
-    if max_dev is None:
-        return SymmetryReport(
-            max_deviation=np.nan,
-            sign_table=signs,
-            skipped=True,
-            notice=notice,
-            covariance_defect=cov,
-            commutation_defect=comm,
-        )
-    return SymmetryReport(
-        max_deviation=max_dev,
-        sign_table=signs,
-        skipped=False,
-        notice="",
-        covariance_defect=cov,
-        commutation_defect=comm,
+    return _symmetry_check(
+        sys.split, sys.pairs, sys.chains, list(comps.components), faddeev.total(), comps.z,
+        permute_chain, perm_ops, oracle_values, degeneracy_gap, covariance_tol,
     )
 
 
@@ -556,42 +548,7 @@ def faddeev_symmetry_check(
     """
     if len(pairs) != comps.n:
         raise InvalidInputError(f"{len(pairs)} pairs vs {comps.n} components")
-    cov, comm = _check_covariance(split.h0, split.potentials, pairs, perm_ops)
-    if cov > covariance_tol or comm > covariance_tol:
-        raise InvalidInputError(
-            f"permutation covariance violated: potential defect {cov:.2e}, "
-            f"H0 commutation defect {comm:.2e}"
-        )
-    if oracle_values is not None:
-        z = np.real(comps.z)
-        vals = np.sort(np.asarray(oracle_values, dtype=float))
-        if int(np.sum(np.abs(vals - z) <= degeneracy_gap)) > 1:
-            return SymmetryReport(
-                max_deviation=np.nan,
-                sign_table={},
-                skipped=True,
-                notice=f"level {z} is degenerate within {degeneracy_gap:.1e}; check skipped",
-                covariance_defect=cov,
-                commutation_defect=comm,
-            )
-    psi = comps.total()
-    max_dev, signs, notice = _transport_check(
-        list(pairs), list(comps.components), perm_ops, permute_pair, psi, 1e-6
-    )
-    if max_dev is None:
-        return SymmetryReport(
-            max_deviation=np.nan,
-            sign_table=signs,
-            skipped=True,
-            notice=notice,
-            covariance_defect=cov,
-            commutation_defect=comm,
-        )
-    return SymmetryReport(
-        max_deviation=max_dev,
-        sign_table=signs,
-        skipped=False,
-        notice="",
-        covariance_defect=cov,
-        commutation_defect=comm,
+    return _symmetry_check(
+        split, pairs, list(pairs), list(comps.components), comps.total(), comps.z,
+        permute_pair, perm_ops, oracle_values, degeneracy_gap, covariance_tol,
     )

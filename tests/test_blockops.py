@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fykit.blockops import (
     BlockOperator,
@@ -14,6 +16,7 @@ from fykit.blockops import (
     match_into,
     match_spectra,
     shift_invert_eigenpair,
+    shift_invert_retry,
 )
 from fykit.errors import (
     InvalidInputError,
@@ -32,11 +35,9 @@ def test_operator_kinds_agree_on_apply():
     x = rng.standard_normal(5)
     dense = Operator.dense(a)
     sparse = Operator.sparse(sp.csr_matrix(a))
-    matfree = Operator.matfree(lambda v: a @ v, 5)
     want = a @ x
     assert np.allclose(dense.apply(x), want)
     assert np.allclose(sparse.apply(x), want)
-    assert np.allclose(matfree.apply(x), want)
 
 
 def test_diagonal_operator():
@@ -66,12 +67,6 @@ def test_zero_and_identity():
     x = np.arange(3.0)
     assert np.allclose(z.apply(x), 0.0)
     assert np.allclose(i.apply(x), x)
-
-
-def test_matfree_refuses_materialize():
-    op = Operator.matfree(lambda v: v, 4)
-    with pytest.raises(InvalidInputError):
-        op.materialize()
 
 
 def test_operator_dimension_mismatch():
@@ -204,6 +199,33 @@ def test_shift_invert_singular_shift_raises():
     a = np.diag([1.0, 2.0, 3.0])
     with pytest.raises(ShiftSingularError):
         shift_invert_eigenpair(Operator.dense(a), 2.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(min_value=1, max_value=12),
+    seed=st.integers(min_value=0, max_value=2**16),
+    diagonal=st.booleans(),
+    t=st.floats(min_value=-5.0, max_value=5.0),
+)
+@pytest.mark.filterwarnings("ignore:Diagonal number")
+def test_retry_driver_steps_off_an_exact_eigenvalue(d, seed, diagonal, t):
+    # t sits on the diagonal of a row and column that are otherwise zero, so
+    # the column of A − t·I is exactly zero and the shift t is singular in
+    # floating point, whatever random diagonal or symmetric block surrounds it.
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(d)
+    k, rest = order[0], order[1:]
+    block = np.diag(rng.standard_normal(d - 1)) if diagonal else random_symmetric(rng, d - 1)
+    a = np.zeros((d, d))
+    a[np.ix_(rest, rest)] = 3.0 * block
+    a[k, k] = t
+    with pytest.raises(ShiftSingularError):
+        shift_invert_eigenpair(a, t)
+    res = shift_invert_retry(a, t)
+    assert res.residual_norm <= 1e-10
+    assert res.shift_history[0] != t
+    assert np.min(np.abs(np.linalg.eigvalsh(a) - res.value)) <= 1e-8
 
 
 def test_shift_invert_failure_carries_diagnostics():
