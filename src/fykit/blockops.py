@@ -30,6 +30,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import lapack
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -361,48 +362,78 @@ def linear_solve(a, z, rhs) -> np.ndarray:
     Refinement repeats until the true residual is at or below 1e-12 relative
     to ‖rhs‖ or stops improving; a system that cannot reach that target is
     reported as singular to working precision rather than returned silently
-    degraded.
+    degraded. A zero right-hand side returns zeros without factoring.
     """
-    mat = _coerce_matrix(a)
-    b = np.asarray(rhs, dtype=np.result_type(mat.dtype, np.asarray(rhs).dtype, type(z)))
-    if b.shape[0] != mat.shape[0]:
-        raise InvalidInputError(f"rhs length {b.shape[0]} != matrix dim {mat.shape[0]}")
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return np.zeros_like(b)
-    m = mat.astype(np.result_type(mat.dtype, type(z)), copy=True)
-    m[np.diag_indices(m.shape[0])] -= z
-    try:
-        lu, piv = sla.lu_factor(m)
-    except (sla.LinAlgError, ValueError) as exc:
-        raise SingularMatrixError(f"LU factorization failed: {exc}") from exc
-    if not np.all(np.isfinite(lu)):
-        raise SingularMatrixError("LU factorization produced non-finite factors")
-    if np.min(np.abs(np.diag(lu))) == 0.0:
-        raise SingularMatrixError("shifted matrix is exactly singular (zero pivot)")
-    x = sla.lu_solve((lu, piv), b)
-    if not np.all(np.isfinite(x)):
-        raise SingularMatrixError("solve produced non-finite entries; shifted matrix is singular")
-    best_res = np.inf
-    for _ in range(_MAX_REFINE):
+    return _Resolvent(a, z).solve(rhs)
+
+
+class _Resolvent:
+    """(A − z·I)⁻¹ from one dense LU, shared by every right-hand side.
+
+    The LU is computed on the first nonzero right-hand side (or condition
+    estimate) and reused; each solve refines its own residual and raises
+    :class:`SingularMatrixError` exactly as :func:`linear_solve` does.
+    """
+
+    def __init__(self, a, z):
+        mat = _coerce_matrix(a)
+        self.m = mat.astype(np.result_type(mat.dtype, type(z)), copy=True)
+        self.m[np.diag_indices(self.m.shape[0])] -= z
+
+    @functools.cached_property
+    def lu(self):
+        try:
+            lu, piv = sla.lu_factor(self.m)
+        except (sla.LinAlgError, ValueError) as exc:
+            raise SingularMatrixError(f"LU factorization failed: {exc}") from exc
+        if not np.all(np.isfinite(lu)):
+            raise SingularMatrixError("LU factorization produced non-finite factors")
+        if np.min(np.abs(np.diag(lu))) == 0.0:
+            raise SingularMatrixError("shifted matrix is exactly singular (zero pivot)")
+        return lu, piv
+
+    def cond_estimate(self) -> float:
+        """LAPACK condition estimate of A − z·I in the 1-norm; inf when singular."""
+        try:
+            lu, _ = self.lu
+        except SingularMatrixError:
+            return np.inf
+        gecon = lapack.get_lapack_funcs("gecon", (lu,))
+        rcond, _ = gecon(lu, np.linalg.norm(self.m, 1), norm="1")
+        return np.inf if rcond <= 0.0 else float(1.0 / rcond)
+
+    def solve(self, rhs) -> np.ndarray:
+        m = self.m
+        b = np.asarray(rhs, dtype=np.result_type(m.dtype, np.asarray(rhs).dtype))
+        if b.shape[0] != m.shape[0]:
+            raise InvalidInputError(f"rhs length {b.shape[0]} != matrix dim {m.shape[0]}")
+        bnorm = np.linalg.norm(b)
+        if bnorm == 0.0:
+            return np.zeros_like(b)
+        lu = self.lu
+        x = sla.lu_solve(lu, b)
+        if not np.all(np.isfinite(x)):
+            raise SingularMatrixError("solve produced non-finite entries; shifted matrix is singular")
+        best_res = np.inf
+        for _ in range(_MAX_REFINE):
+            r = b - m @ x
+            res = np.linalg.norm(r) / bnorm
+            if not np.isfinite(res):
+                raise SingularMatrixError("refinement diverged; shifted matrix is singular")
+            if res <= _REFINE_TARGET:
+                return x
+            if res >= best_res * 0.5:
+                break
+            best_res = res
+            x = x + sla.lu_solve(lu, r)
         r = b - m @ x
-        res = np.linalg.norm(r) / bnorm
-        if not np.isfinite(res):
-            raise SingularMatrixError("refinement diverged; shifted matrix is singular")
+        res = float(np.linalg.norm(r) / bnorm)
         if res <= _REFINE_TARGET:
             return x
-        if res >= best_res * 0.5:
-            break
-        best_res = res
-        x = x + sla.lu_solve((lu, piv), r)
-    r = b - m @ x
-    res = float(np.linalg.norm(r) / bnorm)
-    if res <= _REFINE_TARGET:
-        return x
-    raise SingularMatrixError(
-        f"shifted system is singular to working precision: residual {res:.3e} "
-        f"after refinement (target {_REFINE_TARGET:.0e})"
-    )
+        raise SingularMatrixError(
+            f"shifted system is singular to working precision: residual {res:.3e} "
+            f"after refinement (target {_REFINE_TARGET:.0e})"
+        )
 
 
 # ----------------------------------------------------------------------

@@ -81,7 +81,6 @@ from .yakubovsky import (
 _ALLOWED_KEYS = {
     "model": {"N", "L", "boundary", "t", "potential.kind", "potential.params", "core_radius"},
     "solver": {"target", "tol", "max_iter"},
-    "check": {"seeds", "n", "dim", "hermitian"},
     "output": {"format", "path"},
 }
 
@@ -106,10 +105,6 @@ class RunConfig:
         self.target: Optional[float] = None
         self.tol: float = 1e-10
         self.max_iter: int = 200
-        self.check_seeds: int = 20
-        self.check_n: int = 3
-        self.check_dim: int = 4
-        self.check_hermitian: bool = False
         self.format: str = "table"
         self.path: Optional[str] = None
         self.source: str = "(defaults)"
@@ -177,8 +172,8 @@ def load_config(name: str) -> RunConfig:
     cp = ConfigParser(interpolation=None)
     cp.optionxform = str
     try:
-        read = cp.read(path)
-    except ConfigParserError as exc:
+        read = cp.read(path, encoding="utf-8")
+    except (ConfigParserError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"config file not readable: {path}")
@@ -231,17 +226,6 @@ def load_config(name: str) -> RunConfig:
             cfg.max_iter = _parse_int("solver", "max_iter", sec["max_iter"])
             if cfg.max_iter < 1:
                 raise ConfigError(f"solver.max_iter must be >= 1, got {cfg.max_iter}")
-
-    if cp.has_section("check"):
-        sec = cp["check"]
-        if "seeds" in sec:
-            cfg.check_seeds = _parse_int("check", "seeds", sec["seeds"])
-        if "n" in sec:
-            cfg.check_n = _parse_int("check", "n", sec["n"])
-        if "dim" in sec:
-            cfg.check_dim = _parse_int("check", "dim", sec["dim"])
-        if "hermitian" in sec:
-            cfg.check_hermitian = sec["hermitian"].strip().lower() in ("1", "true", "yes")
 
     if cp.has_section("output"):
         sec = cp["output"]
@@ -317,7 +301,7 @@ def _maybe_dump(args, flat) -> None:
 # commands
 
 
-def cmd_chains(args, out: _Out) -> int:
+def cmd_chains(args, out: _Out, cfg: RunConfig) -> int:
     n = args.n
     chains = enumerate_chains(n)
     orbits = chain_orbits(n)
@@ -341,7 +325,7 @@ def cmd_chains(args, out: _Out) -> int:
     return 0
 
 
-def cmd_yak_pattern(args, out: _Out) -> int:
+def cmd_yak_pattern(args, out: _Out, cfg: RunConfig) -> int:
     chains = enumerate_chains(4)
     mask = coupling_pattern(chains)
     labels = [str(c) for c in chains]
@@ -386,7 +370,7 @@ def cmd_yak_pattern(args, out: _Out) -> int:
     return 0
 
 
-def cmd_spectrum_check(args, out: _Out) -> int:
+def cmd_spectrum_check(args, out: _Out, cfg: RunConfig) -> int:
     if args.n < 2 or args.dim < 1 or args.seeds < 1:
         raise ConfigError("spectrum-check needs --n >= 2, --dim >= 1, --seeds >= 1")
     tol = args.tol
@@ -453,7 +437,7 @@ def cmd_oracle(args, out: _Out, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_solve3(args, out: _Out, cfg: RunConfig, seed: int) -> int:
+def cmd_solve3(args, out: _Out, cfg: RunConfig) -> int:
     model = _require_model(cfg, n=3, forbid_core=True)
     h0, pairs, pots = hamiltonian_terms(model)
     split = FewBodySplit(h0=h0, potentials=tuple(pots))
@@ -464,7 +448,7 @@ def cmd_solve3(args, out: _Out, cfg: RunConfig, seed: int) -> int:
         out.comment(f"auto target from dense oracle: {_g(target)}")
     else:
         target = cfg.target
-    res = shift_invert_retry(flat, target, tol=cfg.tol, max_iter=cfg.max_iter, seed=seed)
+    res = shift_invert_retry(flat, target, tol=cfg.tol, max_iter=cfg.max_iter, seed=args.seed)
     z = float(np.real(res.value))
     if model.dimension <= dense_limit():
         sigma_h0 = dense_eigenvalues(split.h0, hermitian=True)
@@ -506,7 +490,7 @@ def cmd_solve3(args, out: _Out, cfg: RunConfig, seed: int) -> int:
     return 0
 
 
-def cmd_solve4(args, out: _Out, cfg: RunConfig, seed: int) -> int:
+def cmd_solve4(args, out: _Out, cfg: RunConfig) -> int:
     model = _require_model(cfg, n=4, forbid_core=True)
     h0, pairs, pots = hamiltonian_terms(model)
     split = FewBodySplit(h0=h0, potentials=tuple(pots))
@@ -521,7 +505,7 @@ def cmd_solve4(args, out: _Out, cfg: RunConfig, seed: int) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         res = solve_fourbody_ground_state(
-            sysy, target, tol=cfg.tol, max_iter=cfg.max_iter, seed=seed
+            sysy, target, tol=cfg.tol, max_iter=cfg.max_iter, seed=args.seed
         )
     for w in caught:
         out.comment(f"warning: {w.message}")
@@ -586,7 +570,7 @@ def _parse_core_token(tok: str) -> Optional[int]:
         raise ConfigError(f"core radius must be an integer or 'none', got {tok!r}") from exc
 
 
-def cmd_hardcore3(args, out: _Out, cfg: RunConfig, seed: int) -> int:
+def cmd_hardcore3(args, out: _Out, cfg: RunConfig) -> int:
     model = _require_model(cfg, n=3)
     if args.sweep:
         cores = [_parse_core_token(tok) for tok in args.sweep.split(",")]
@@ -619,7 +603,7 @@ def cmd_hardcore3(args, out: _Out, cfg: RunConfig, seed: int) -> int:
             warnings.simplefilter("always")
             result = solve_hardcore3(
                 m, target=oracle.value if target is None else target, tol=cfg.tol,
-                max_iter=cfg.max_iter, surface_only=args.surface_only, seed=seed,
+                max_iter=cfg.max_iter, surface_only=args.surface_only, seed=args.seed,
             )
         for w in caught:
             out.comment(f"warning: {w.message}")
@@ -708,13 +692,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("chains", parents=[common], help="list chains with orbit ids")
+    sp.set_defaults(run=cmd_chains)
     sp.add_argument("--n", type=int, choices=[3, 4], default=4)
 
-    sub.add_parser("yak-pattern", parents=[common],
-                   help="print the 18x18 coupling pattern of the four-body operator")
+    sp = sub.add_parser("yak-pattern", parents=[common],
+                        help="print the 18x18 coupling pattern of the four-body operator")
+    sp.set_defaults(run=cmd_yak_pattern)
 
     sp = sub.add_parser("spectrum-check", parents=[common],
                         help="verify the spectrum identity on seeded random splits")
+    sp.set_defaults(run=cmd_spectrum_check)
     sp.add_argument("--n", type=int, default=3, help="number of potentials in the split")
     sp.add_argument("--dim", type=int, default=4, help="base dimension")
     sp.add_argument("--seeds", type=int, default=20, help="number of seeded instances")
@@ -722,19 +709,23 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tol", type=float, default=1e-8, help="max matching distance allowed")
 
     sp = sub.add_parser("oracle", parents=[common], help="dense (or restricted) brute-force spectrum")
+    sp.set_defaults(run=cmd_oracle)
     sp.add_argument("--config", required=True)
     sp.add_argument("--k", type=int, default=8, help="number of lowest eigenpairs")
 
     sp = sub.add_parser("solve3", parents=[common], help="three-body coupled-component solve")
+    sp.set_defaults(run=cmd_solve3)
     sp.add_argument("--config", required=True)
     sp.add_argument("--dump-matrix", default=None, metavar="PATH",
                     help="write the assembled flatten as text")
 
     sp = sub.add_parser("solve4", parents=[common], help="four-body coupled-component solve")
+    sp.set_defaults(run=cmd_solve4)
     sp.add_argument("--config", required=True)
     sp.add_argument("--dump-matrix", default=None, metavar="PATH")
 
     sp = sub.add_parser("hardcore3", parents=[common], help="hard-core pencil vs restricted oracle")
+    sp.set_defaults(run=cmd_hardcore3)
     sp.add_argument("--config", required=True)
     sp.add_argument("--core", default=None, metavar="C",
                     help="core radius override (integer or 'none')")
@@ -748,6 +739,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("hardcore4-check", parents=[common],
                         help="evaluate the four-body chain boundary conditions")
+    sp.set_defaults(run=cmd_hardcore4_check)
     sp.add_argument("--config", required=True)
     sp.add_argument("--core", default=None, metavar="C",
                     help="core radius override (integer or 'none')")
@@ -762,24 +754,7 @@ def main(argv: Optional[list] = None) -> int:
         fmt = args.format or cfg.format
         out = _Out(machine=(fmt == "machine"), quiet=args.quiet)
         _header(out, args.command, cfg if getattr(args, "config", None) else None, args.seed)
-        if args.command == "chains":
-            rc = cmd_chains(args, out)
-        elif args.command == "yak-pattern":
-            rc = cmd_yak_pattern(args, out)
-        elif args.command == "spectrum-check":
-            rc = cmd_spectrum_check(args, out)
-        elif args.command == "oracle":
-            rc = cmd_oracle(args, out, cfg)
-        elif args.command == "solve3":
-            rc = cmd_solve3(args, out, cfg, args.seed)
-        elif args.command == "solve4":
-            rc = cmd_solve4(args, out, cfg, args.seed)
-        elif args.command == "hardcore3":
-            rc = cmd_hardcore3(args, out, cfg, args.seed)
-        elif args.command == "hardcore4-check":
-            rc = cmd_hardcore4_check(args, out, cfg)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise ConfigError(f"unknown command {args.command!r}")
+        rc = args.run(args, out, cfg)
         out.emit(args.output or cfg.path)
         return rc
     except ConfigError as exc:

@@ -92,10 +92,6 @@ class TwoClusterPartition:
         object.__setattr__(self, "clusters", (c1, c2))
 
     @property
-    def particle_count(self) -> int:
-        return len(self.clusters[0]) + len(self.clusters[1])
-
-    @property
     def kind(self) -> str:
         """Cluster-size signature, e.g. ``"3+1"`` or ``"2+2"``."""
         return f"{len(self.clusters[0])}+{len(self.clusters[1])}"

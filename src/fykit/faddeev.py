@@ -13,6 +13,11 @@ exactly, at the price of spurious copies of the unperturbed one. Everything
 here is finite-dimensional, so each of these statements is checkable against
 dense diagonalization, and the functions in this module do the checking.
 
+The Faddeev, Yakubovsky and hard-core operators all share that row shape and
+differ only in which columns a row couples to, so one assembler,
+:func:`assemble_coupled`, builds every coupled block grid from a part index
+per row and a boolean coupling mask.
+
 The same machinery applies to any operator split with n ≥ 2 parts; nothing
 assumes the potentials are pair interactions until the four-body module
 builds on top.
@@ -24,11 +29,11 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .blockops import (
     BlockOperator,
     Operator,
+    _Resolvent,
     dense_eigenvalues,
     linear_solve,
     match_into,
@@ -47,6 +52,7 @@ __all__ = [
     "SpectrumUnionReport",
     "lippmann_schwinger_residual",
     "faddeev_components",
+    "assemble_coupled",
     "assemble_faddeev_operator",
     "faddeev_residual",
     "faddeev_integral_map",
@@ -124,19 +130,6 @@ class FaddeevComponents:
         return np.sum(self.components, axis=0)
 
 
-def _cond_estimate_1norm(m: np.ndarray) -> float:
-    """LAPACK reciprocal-condition estimate in the 1-norm; inf when singular."""
-    anorm = np.linalg.norm(m, 1)
-    getrf, gecon = lapack.get_lapack_funcs(("getrf", "gecon"), (m,))
-    lu, _, info = getrf(m)
-    if info != 0:
-        return np.inf
-    rcond, _ = gecon(lu, anorm, norm="1")
-    if rcond <= 0.0:
-        return np.inf
-    return float(1.0 / rcond)
-
-
 def lippmann_schwinger_residual(split: FewBodySplit, z, psi: np.ndarray) -> float:
     """‖Ψ + (H0 − z)^{−1} ΣVα Ψ‖ / ‖Ψ‖, zero exactly on eigenvectors of H.
 
@@ -170,7 +163,8 @@ def faddeev_components(
     residual ‖HΨ − zΨ‖/‖Ψ‖ is measured first and a violation is reported as
     a precondition failure carrying the measured value. The condition of
     (H0 − z) is estimated and flagged (not fatal) above 1e10, which is the
-    quantitative version of "z does not belong to the spectrum of H0".
+    quantitative version of "z does not belong to the spectrum of H0". One
+    LU of H0 − z serves the estimate and all n solves.
     """
     psi = np.asarray(psi)
     pnorm = np.linalg.norm(psi)
@@ -183,14 +177,12 @@ def faddeev_components(
             f"(z, psi) is not an eigenpair within {eigenpair_tol:.1e}",
             measured=eig_res,
         )
-    m = split.h0.materialize().astype(np.result_type(np.float64, type(z)), copy=True)
-    m[np.diag_indices(split.dim)] -= z
-    cond = _cond_estimate_1norm(m)
+    resolvent = _Resolvent(split.h0, z)
+    cond = resolvent.cond_estimate()
     comps = []
     for v in split.potentials:
-        rhs = v.apply(psi)
         try:
-            comps.append(-linear_solve(split.h0, z, rhs))
+            comps.append(-resolvent.solve(v.apply(psi)))
         except SingularMatrixError as exc:
             raise SpuriousEnergyError(
                 f"z = {z} is numerically in the unperturbed spectrum"
@@ -203,20 +195,30 @@ def faddeev_components(
     )
 
 
+def assemble_coupled(split: FewBodySplit, row_parts: Sequence[int], mask) -> BlockOperator:
+    """The m×m block operator of m coupled component equations.
+
+    Row i is the equation of a component driven by part p = ``row_parts[i]``
+    of the split: H0 + Vp on the diagonal and Vp in every column j with
+    ``mask[i, j]``; every other block is an exact zero. The diagonal of
+    ``mask`` is ignored.
+    """
+    grid: list[list[Optional[Operator]]] = []
+    for i, p in enumerate(row_parts):
+        v = split.potentials[p]
+        row = [v if coupled else None for coupled in mask[i]]
+        row[i] = split.h0 + v
+        grid.append(row)
+    return BlockOperator(grid, block_dim=split.dim)
+
+
 def assemble_faddeev_operator(split: FewBodySplit) -> BlockOperator:
     """The n×n block operator: H0 + Vα on the diagonal, Vα across row α.
 
     Row α reads (H0 + Vα) ψα + Vα Σ_{β≠α} ψβ, so eigenvectors of the
     flatten at eigenvalue z stack exactly the coupled-equation solutions.
     """
-    n = split.n
-    grid: list[list[Optional[Operator]]] = []
-    for i, v in enumerate(split.potentials):
-        diag = split.h0 + v
-        row = [v] * n
-        row[i] = diag
-        grid.append(row)
-    return BlockOperator(grid, block_dim=split.dim)
+    return assemble_coupled(split, range(split.n), np.ones((split.n, split.n), dtype=bool))
 
 
 def faddeev_residual(split: FewBodySplit, comps: FaddeevComponents) -> np.ndarray:

@@ -11,12 +11,15 @@ equation rows on core sites of α are replaced by the constraint
 
 which forces the reconstructed Ψ = Σβ ψβ to vanish on every core site. With
 the constraint rows carrying no z-dependence the problem becomes a matrix
-pencil (A, B): A holds the modified block operator rows, B is the identity
-with zeros exactly on constraint rows. Eigenvalues of the restricted model
-are eigenvalues of the pencil (lift the restricted eigenvector through the
-component construction); the pencil may carry auxiliary roots as well, so
-accepted eigenpairs are filtered by the vanishing and restricted-equation
-tests, never trusted on the eigenvalue alone.
+pencil (A, B). Both come from the Faddeev operator F and one row mask per
+component, K_α = diag(site is not a constraint row of α): A_αβ = K_α F_αβ +
+(I − K_α) and B_αα = K_α, so B is the identity with zeros exactly on
+constraint rows, and without a core (no constraint rows) the pencil is
+(F, I). Eigenvalues of the restricted model are eigenvalues of the pencil
+(lift the restricted eigenvector through the component construction); the
+pencil may carry auxiliary roots as well, so accepted eigenpairs are
+filtered by the vanishing and restricted-equation tests, never trusted on
+the eigenvalue alone.
 
 Constraints are imposed on the whole discrete core (surface included): a
 lattice has no unambiguous "surface x = c", and the full-core constraint is
@@ -178,94 +181,55 @@ class HardcorePencil:
     collision_count: int
     surface_only: bool
 
-    @property
-    def constraint_count(self) -> int:
-        return len(self.constraint_rows)
 
-
-def _constraint_sites(model: LatticeModel, pair: Pair, surface_only: bool) -> np.ndarray:
-    sep = separations(model, pair)
-    if surface_only:
-        return np.nonzero(sep == model.core_radius)[0].astype(np.int64)
-    return np.nonzero(sep <= model.core_radius)[0].astype(np.int64)
+def _constrain(block: Operator, keep: np.ndarray) -> Operator:
+    """K·F + (I − K) for K = diag(keep): rows where keep is 0 become unit rows."""
+    if block.kind == "diagonal":
+        return Operator.diagonal(keep * block.diagonal_data + (1.0 - keep))
+    m = (sp.diags(keep) @ block.to_sparse() + sp.diags(1.0 - keep)).tocsr()
+    m.eliminate_zeros()  # masked entries are stored as ±0; -0 would reach --dump-matrix
+    return Operator.sparse(m)
 
 
 def assemble_hardcore3_pencil(model: LatticeModel, surface_only: bool = False) -> HardcorePencil:
-    """Constraint surgery on the three-component block operator.
+    """The three-component Faddeev operator with its constraint rows masked in.
 
-    Without a core the pencil degenerates to (block operator, identity).
-    With one, for every pair α and every site s in its constraint set, the
+    For every pair α and every site s in its constraint set, the
     component-α row at s becomes Σβ ψβ(s) = 0 and the matching B row is
     zeroed; a site inside several cores is owned by the first pair claiming
     it (canonical pair order) and the duplicate rows stay free, which keeps
-    the pencil square with one constraint per core site.
+    the pencil square with one constraint per core site. Without a core no
+    site is owned, and the pencil is (Faddeev operator, identity).
     """
     if model.N != 3:
         raise InvalidInputError(f"three-body pencil needs N=3, got N={model.N}")
     h0, pairs, pots = hamiltonian_terms(model)
-    split = FewBodySplit(h0=h0, potentials=tuple(pots))
-    faddeev_op = assemble_faddeev_operator(split)
+    faddeev_op = assemble_faddeev_operator(FewBodySplit(h0=h0, potentials=tuple(pots)))
     d = model.dimension
-
-    if not model.has_core:
-        ident = Operator.identity(d)
-        b = BlockOperator(
-            [[ident if i == j else None for j in range(3)] for i in range(3)],
-            block_dim=d,
-        )
-        return HardcorePencil(
-            a=faddeev_op, b=b, constraint_rows={}, collision_count=0, surface_only=surface_only
-        )
 
     owner = np.full(d, -1, dtype=np.int64)
     claimed = np.zeros(d, dtype=np.int64)
-    per_pair_sites = []
-    for i, pair in enumerate(pairs):
-        sites = _constraint_sites(model, pair, surface_only)
-        per_pair_sites.append(sites)
-        claimed[sites] += 1
-        fresh = sites[owner[sites] == -1]
-        owner[fresh] = i
-    collision_count = int(np.sum(claimed > 1))
-
-    # Work on LIL copies of the 3x3 grid for row surgery.
-    grid = [
-        [
-            (faddeev_op.entries[i][j].to_sparse().tolil() if faddeev_op.entries[i][j] is not None
-             else sp.lil_matrix((d, d)))
-            for j in range(3)
-        ]
-        for i in range(3)
-    ]
-    b_diag = [np.ones(d) for _ in range(3)]
     constraint_rows: dict = {}
     for i, pair in enumerate(pairs):
-        owned = per_pair_sites[i][owner[per_pair_sites[i]] == i]
-        for s in owned:
-            for j in range(3):
-                grid[i][j].rows[s] = [int(s)]
-                grid[i][j].data[s] = [1.0]
-            b_diag[i][s] = 0.0
-            constraint_rows[(pair.members, int(s))] = i * d + int(s)
+        sites = core_region(model, pair).sites
+        if surface_only:  # only the shell at separation exactly c
+            sites = sites[separations(model, pair)[sites] == model.core_radius]
+        claimed[sites] += 1
+        owned = sites[owner[sites] == -1]
+        owner[owned] = i
+        constraint_rows.update({(pair.members, int(s)): i * d + int(s) for s in owned})
 
+    keep = [(owner != i).astype(np.float64) for i in range(3)]
     a = BlockOperator(
-        [[Operator.sparse(grid[i][j].tocsr()) for j in range(3)] for i in range(3)],
+        [[_constrain(block, keep[i]) for block in row] for i, row in enumerate(faddeev_op.entries)],
         block_dim=d,
     )
     b = BlockOperator(
-        [
-            [Operator.diagonal(b_diag[i]) if i == j else None for j in range(3)]
-            for i in range(3)
-        ],
+        [[Operator.diagonal(keep[i]) if i == j else None for j in range(3)] for i in range(3)],
         block_dim=d,
     )
-    return HardcorePencil(
-        a=a,
-        b=b,
-        constraint_rows=constraint_rows,
-        collision_count=collision_count,
-        surface_only=surface_only,
-    )
+    return HardcorePencil(a=a, b=b, constraint_rows=constraint_rows,
+                          collision_count=int(np.sum(claimed > 1)), surface_only=surface_only)
 
 
 @dataclass(frozen=True)

@@ -46,11 +46,11 @@ from .blockops import (
     BlockOperator,
     EigenResult,
     Operator,
+    _Resolvent,
     _shifted_factor,
     _solver_matrix,
     dense_eigenvalues,
     dense_limit,
-    linear_solve,
     shift_invert_eigenpair,  # noqa: F401  (perfbench's hook test rebinds it here)
     shift_invert_retry,
 )
@@ -68,7 +68,12 @@ from .errors import (
     SingularMatrixError,
     SpuriousRootWarning,
 )
-from .faddeev import FaddeevComponents, FewBodySplit, assemble_faddeev_operator
+from .faddeev import (
+    FaddeevComponents,
+    FewBodySplit,
+    assemble_coupled,
+    assemble_faddeev_operator,
+)
 
 __all__ = [
     "YakubovskySystem",
@@ -147,27 +152,30 @@ def yakubovsky_components(
     Each chain (a, α) solves its own channel system: the resolvent of
     H0 + Vα at z applied to Vα times the sum of the *other* pair components
     living inside the cluster a. A z inside some channel spectrum breaks
-    only that channel, so the error names the offending pair.
+    only that channel, so the error names the offending pair. The three
+    chains of a pair share one LU of their channel operator.
     """
     if faddeev.n != 6:
         raise InvalidInputError(f"need the 6 pair components, got {faddeev.n}")
     pair_comp = dict(zip(sys.pairs, faddeev.components))
-    out = []
-    for chain in sys.chains:
-        a, alpha = chain.partition, chain.pair
-        betas = [b for b in a.internal_pairs() if b != alpha]
-        rhs_vec = np.zeros(sys.dim)
-        for beta in betas:
-            rhs_vec = rhs_vec + pair_comp[beta]
-        v = sys.potential(alpha)
-        channel = sys.split.h0 + v
-        try:
-            out.append(-linear_solve(channel, z, v.apply(rhs_vec)))
-        except SingularMatrixError as exc:
-            raise ChannelEnergyError(
-                f"z = {z} is numerically in the spectrum of channel {alpha}",
-                pair=alpha,
-            ) from exc
+    chains = sys.chains
+    out = [None] * len(chains)
+    for alpha, v in zip(sys.pairs, sys.split.potentials):
+        channel = _Resolvent(sys.split.h0 + v, z)
+        for i, chain in enumerate(chains):
+            if chain.pair != alpha:
+                continue
+            rhs_vec = np.zeros(sys.dim)
+            for beta in chain.partition.internal_pairs():
+                if beta != alpha:
+                    rhs_vec = rhs_vec + pair_comp[beta]
+            try:
+                out[i] = -channel.solve(v.apply(rhs_vec))
+            except SingularMatrixError as exc:
+                raise ChannelEnergyError(
+                    f"z = {z} is numerically in the spectrum of channel {alpha}",
+                    pair=alpha,
+                ) from exc
     return YakubovskyComponents(z=z, components=tuple(out))
 
 
@@ -233,21 +241,10 @@ def assemble_yakubovsky_operator(sys: YakubovskySystem) -> BlockOperator:
     entry in row (a, α) is the same Vα, which is what makes the row read as
     one coupled equation.
     """
-    chains = sys.chains
-    mask = coupling_pattern(chains)
-    grid: list[list[Optional[Operator]]] = []
-    for i, chain in enumerate(chains):
-        v = sys.potential(chain.pair)
-        row: list[Optional[Operator]] = []
-        for j in range(len(chains)):
-            if i == j:
-                row.append(sys.split.h0 + v)
-            elif mask[i, j]:
-                row.append(v)
-            else:
-                row.append(None)
-        grid.append(row)
-    return BlockOperator(grid, block_dim=sys.dim)
+    chains, pairs = sys.chains, sys.pairs
+    return assemble_coupled(
+        sys.split, [pairs.index(c.pair) for c in chains], coupling_pattern(chains)
+    )
 
 
 def yakubovsky_residual(sys: YakubovskySystem, comps: YakubovskyComponents) -> np.ndarray:

@@ -5,6 +5,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from fykit.cli import _ALLOWED_KEYS, RunConfig, load_config
+from fykit.errors import ConfigError
 
 CLI = [sys.executable, "-m", "fykit.cli"]
 
@@ -163,6 +168,61 @@ def test_config_errors_exit_2(tmp_path):
     n4.write_text("[model]\nN = 4\nL = 3\n")
     wrong = run_cli("solve3", "--config", str(n4), check=False)
     assert wrong.returncode == 2
+
+
+def test_check_section_is_unknown(tmp_path):
+    cfg = tmp_path / "check.cfg"
+    cfg.write_text("[model]\nN = 3\nL = 6\n\n[check]\nseeds = 3\n")
+    proc = run_cli("oracle", "--config", str(cfg), check=False)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: unknown config section [check]")
+
+
+def test_non_utf8_config_exits_2(tmp_path):
+    cfg = tmp_path / "bytes.cfg"
+    cfg.write_bytes(b"\xff\xfe[model]\nN = 3\nL = 6\n")
+    proc = run_cli("oracle", "--config", str(cfg), check=False)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: cannot parse config")
+    assert "Traceback" not in proc.stderr
+
+
+def _loads_or_config_error(path, data):
+    path.write_bytes(data)
+    try:
+        assert isinstance(load_config(str(path)), RunConfig)
+    except ConfigError:
+        pass
+
+
+_FUZZ = settings(max_examples=200, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+_VALUES = st.one_of(
+    st.integers(-3, 30).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["none", "auto", "box", "ring", "onsite", "gaussian", "square", "table",
+                     "machine", "-4.0, 1.0", ""]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+)
+
+
+@_FUZZ
+@given(data=st.binary(max_size=200))
+def test_load_config_on_arbitrary_bytes(tmp_path, data):
+    _loads_or_config_error(tmp_path / "fuzz.cfg", data)
+
+
+@_FUZZ
+@given(data=st.data())
+def test_load_config_on_random_entries(tmp_path, data):
+    lines = []
+    for section in data.draw(st.lists(st.sampled_from(sorted(_ALLOWED_KEYS)), unique=True)):
+        lines.append(f"[{section}]")
+        keys = st.one_of(st.sampled_from(sorted(_ALLOWED_KEYS[section])),
+                         st.text("abcdefghijklmnopqrstuvwxyz._", min_size=1, max_size=8))
+        for key, value in data.draw(st.dictionaries(keys, _VALUES, max_size=8)).items():
+            lines.append(f"{key} = {value}")
+    _loads_or_config_error(tmp_path / "fuzz.cfg", "\n".join(lines).encode("utf-8"))
 
 
 def test_output_file_matches_stdout(tmp_path):

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fykit.blockops import Operator, dense_eigenvalues
 from fykit.errors import (
@@ -62,6 +65,19 @@ def test_components_sum_to_eigenvector():
     defect = np.linalg.norm(total - psi) / np.linalg.norm(psi)
     assert defect <= 1e-10
     assert comps.n == 3
+
+
+def test_components_factor_h0_once(monkeypatch):
+    # one LU of H0 - z serves the condition estimate and all n solves
+    split = random_split(4, 6, seed=7)
+    z, psi = eigenpair_of(split)
+    calls = []
+    real = sla.lu_factor
+    monkeypatch.setattr(sla, "lu_factor", lambda *a, **k: calls.append(1) or real(*a, **k))
+    comps = faddeev_components(split, z, psi)
+    assert len(calls) == 1
+    assert np.isfinite(comps.h0_cond_estimate)
+    assert np.allclose(comps.total(), psi, atol=1e-9)
 
 
 def test_components_need_an_eigenpair():
@@ -155,3 +171,14 @@ def test_spectrum_union_reports_failure_instead_of_raising():
     rep = spectrum_union_check(split, tol=1e-300)
     assert not rep.passed
     assert rep.max_matching_distance > 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(2, 4),
+    dim=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+    hermitian=st.booleans(),
+)
+def test_spectrum_union_holds_on_random_splits(n, dim, seed, hermitian):
+    assert spectrum_union_check(random_split(n, dim, seed, hermitian)).passed

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from fykit.blockops import dense_eigenvalues
 from fykit.combinatorics import all_permutations
@@ -74,6 +75,17 @@ def test_chain_components_solve_coupled_equations(tiny4_ground, tiny4_system):
     res = yakubovsky_residual(tiny4_system, yc)
     assert res.shape == (18,)
     assert np.max(res) <= 1e-9
+
+
+def test_chain_components_factor_each_channel_once(monkeypatch, tiny4_ground, tiny4_system):
+    gs, fc, yc = tiny4_ground
+    calls = []
+    real = sla.lu_factor
+    monkeypatch.setattr(sla, "lu_factor", lambda *a, **k: calls.append(1) or real(*a, **k))
+    again = yakubovsky_components(tiny4_system, gs.value, fc)
+    assert len(calls) == 6  # the six distinct channels H0 + Vα, not the 18 chains
+    for got, want in zip(again.components, yc.components):
+        assert np.array_equal(got, want)
 
 
 def test_chain_sums_collapse_to_pair_components(tiny4_ground, tiny4_system):
