@@ -265,26 +265,33 @@ class BlockOperator:
         return self.block_count * self.block_dim
 
     def flatten(self) -> Operator:
-        """The (m·d)-dimensional operator with this block layout.
+        """The (m·d)-dimensional operator with this block layout, of the cheapest exact kind.
 
-        Returns a dense operator while m·d stays within :func:`dense_limit`;
-        beyond that it assembles a sparse matrix instead, which restricts the
-        caller to the shift-invert path (the dense eigenvalue kernel refuses
-        such sizes).
+        Diagonal blocks on the block diagonal alone give a diagonal operator.
+        Otherwise it is dense, each block written straight into its slice,
+        while m·d stays within :func:`dense_limit`, and sparse beyond it,
+        which restricts the caller to the shift-invert path.
         """
-        m, d, n = self.block_count, self.block_dim, self.dim
+        d, n = self.block_dim, self.dim
+        present = [(i, j, e) for i, row in enumerate(self.entries)
+                   for j, e in enumerate(row) if e is not None]
+        dtype = np.result_type(np.float64, *(e._data.dtype for _, _, e in present))
+        if all(i == j and e.kind == "diagonal" for i, j, e in present):
+            diag = np.zeros(n, dtype=dtype)
+            for i, _, e in present:
+                diag[i * d:(i + 1) * d] = e._data
+            return Operator.diagonal(diag)
         if n <= dense_limit():
-            out = np.zeros((n, n))
-            dtype = np.float64
-            for i, row in enumerate(self.entries):
-                for j, entry in enumerate(row):
-                    if entry is None:
-                        continue
-                    blk = entry.materialize()
-                    if np.iscomplexobj(blk) and dtype is np.float64:
-                        out = out.astype(np.complex128)
-                        dtype = np.complex128
-                    out[i * d:(i + 1) * d, j * d:(j + 1) * d] = blk
+            out = np.zeros((n, n), dtype=dtype)
+            for i, j, e in present:
+                blk = out[i * d:(i + 1) * d, j * d:(j + 1) * d]
+                if e.kind == "diagonal":
+                    blk[np.diag_indices(d)] = e._data
+                elif e.kind == "sparse":
+                    coo = e._data.tocoo()
+                    np.add.at(blk, (coo.row, coo.col), coo.data)
+                else:
+                    blk[...] = e._data
             return Operator.dense(out)
         grid = [[e.to_sparse() if e is not None else None for e in row] for row in self.entries]
         return Operator.sparse(sp.bmat(grid, format="csr"))
@@ -324,8 +331,8 @@ class EigenResult:
 
 
 def _coerce_matrix(a) -> np.ndarray:
-    if isinstance(a, Operator):
-        return a.materialize()
+    if isinstance(a, Operator):  # a dense operator's own array, not a copy
+        return a._data if a.kind == "dense" else a.materialize()
     if sp.issparse(a):
         return a.toarray()
     return _as_2d_array(a)
@@ -376,8 +383,9 @@ class _Resolvent:
     """
 
     def __init__(self, a, z):
-        mat = _coerce_matrix(a)
-        self.m = mat.astype(np.result_type(mat.dtype, type(z)), copy=True)
+        mat = _coerce_matrix(a)  # shares a dense input, so only that one is copied
+        densified = sp.issparse(a) or (isinstance(a, Operator) and a.kind != "dense")
+        self.m = mat.astype(np.result_type(mat.dtype, type(z)), copy=not densified)
         self.m[np.diag_indices(self.m.shape[0])] -= z
 
     @functools.cached_property
@@ -443,7 +451,7 @@ class _Resolvent:
 class _DenseFactor:
     def __init__(self, mat: np.ndarray):
         try:
-            self.lu, self.piv = sla.lu_factor(mat)
+            self.lu, self.piv = sla.lu_factor(mat, overwrite_a=True)
         except (sla.LinAlgError, ValueError) as exc:
             raise ShiftSingularError(f"shifted matrix is singular: {exc}") from exc
         if not np.all(np.isfinite(self.lu)):
@@ -479,9 +487,13 @@ def _shifted_factor(amat, bmat, z):
         if np.iscomplexobj(np.asarray(z)) and not np.iscomplexobj(shifted.data):
             shifted = shifted.astype(np.complex128)
         return _SparseFactor(shifted)
-    m = amat.astype(np.result_type(amat.dtype, type(z)), copy=True)
+    # The one working copy, in the Fortran order getrf factors in place.
+    m = np.array(amat, dtype=np.result_type(amat.dtype, type(z)), order="F")
     if bmat is None:
         m[np.diag_indices(m.shape[0])] -= z
+    elif sp.issparse(bmat):
+        coo = bmat.tocoo()
+        np.subtract.at(m, (coo.row, coo.col), z * coo.data)
     else:
         m -= z * bmat
     return _DenseFactor(m)
@@ -494,7 +506,7 @@ def _solver_matrix(a):
             return a.to_sparse()
         if a.kind == "diagonal":
             return sp.diags(a.diagonal_data).tocsr()
-        return a.materialize()
+        return a._data  # not a copy: the solver only reads it
     if sp.issparse(a):
         return sp.csr_matrix(a)
     return _as_2d_array(a)
@@ -530,6 +542,9 @@ def shift_invert_eigenpair(
     (A − z·B)⁻¹, raising :class:`ShiftSingularError` for a singular shift.
     A and B are then used only for products, the Rayleigh quotient and the
     post-hoc residual.
+
+    A and B are never modified; B may be dense, diagonal or sparse, and each
+    factorization works on one copy of A minus z·B at B's stored entries.
 
     The start vector is drawn from a seeded generator, and the returned
     residual is recomputed independently after the loop, so repeated runs

@@ -26,7 +26,6 @@ import numpy as np
 
 from . import __version__
 from .blockops import (
-    dense_eigenvalues,
     dense_limit,
     dump_matrix_text,
     shift_invert_retry,
@@ -65,6 +64,7 @@ from .lattice import (
     LatticeModel,
     PairPotential,
     dense_oracle_spectrum,
+    h0_spectrum,
     hamiltonian_terms,
 )
 from .yakubovsky import (
@@ -294,7 +294,7 @@ def _maybe_dump(args, flat) -> None:
             raise ConfigError(
                 f"matrix dump refused: dimension {flat.dim} exceeds dense limit {dense_limit()}"
             )
-        dump_matrix_text(args.dump_matrix, flat.materialize())
+        dump_matrix_text(args.dump_matrix, flat)
 
 
 # ----------------------------------------------------------------------
@@ -450,14 +450,12 @@ def cmd_solve3(args, out: _Out, cfg: RunConfig) -> int:
         target = cfg.target
     res = shift_invert_retry(flat, target, tol=cfg.tol, max_iter=cfg.max_iter, seed=args.seed)
     z = float(np.real(res.value))
-    if model.dimension <= dense_limit():
-        sigma_h0 = dense_eigenvalues(split.h0, hermitian=True)
-        nearest = float(np.min(np.abs(sigma_h0 - z)))
-        if nearest <= _SPURIOUS_COMMENT_WINDOW:
-            out.comment(
-                f"warning: eigenvalue within {_e(nearest)} of the unperturbed spectrum; "
-                "likely a spurious (auxiliary) root"
-            )
+    nearest = float(np.min(np.abs(h0_spectrum(model) - z)))
+    if nearest <= _SPURIOUS_COMMENT_WINDOW:
+        out.comment(
+            f"warning: eigenvalue within {_e(nearest)} of the unperturbed spectrum; "
+            "likely a spurious (auxiliary) root"
+        )
     comps = tuple(np.split(np.real_if_close(res.vector), 3))
     fc = FaddeevComponents(z=z, components=comps)
     fe = faddeev_residual(split, fc)

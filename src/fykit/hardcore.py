@@ -138,8 +138,7 @@ def restricted_oracle(model: LatticeModel, k: Optional[int] = None) -> list[Eige
         raise InvalidInputError(
             f"no configuration survives core radius {model.core_radius} on L={model.L}"
         )
-    h = build_hamiltonian(model).materialize()
-    hr = h[np.ix_(kept, kept)]
+    hr = build_hamiltonian(model).to_sparse()[kept][:, kept].toarray()
     vals, vecs = sla.eigh(hr)
     if k is None:
         k = vals.shape[0]
@@ -291,8 +290,7 @@ def solve_hardcore3(
     else:
         core_abs = float(np.max(np.abs(psi[in_core]))) if in_core.any() else 0.0
         core_vanishing = core_abs / pnorm
-        h = build_hamiltonian(model).materialize()
-        hr = h[np.ix_(kept, kept)]
+        hr = build_hamiltonian(model).to_sparse()[kept][:, kept].toarray()
         psir = psi[kept]
         rnorm = np.linalg.norm(psir)
         if rnorm == 0.0:

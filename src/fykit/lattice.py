@@ -33,6 +33,7 @@ __all__ = [
     "LatticeModel",
     "PermutationOperator",
     "build_h0",
+    "h0_spectrum",
     "build_pair_potential",
     "build_hamiltonian",
     "hamiltonian_terms",
@@ -243,6 +244,19 @@ def build_h0(model: LatticeModel) -> Operator:
         right = sp.identity(L ** (N - i - 1), format="csr")
         total = total + sp.kron(sp.kron(left, k1), right, format="csr")
     return Operator.sparse(total)
+
+
+def h0_spectrum(model: LatticeModel) -> np.ndarray:
+    """Sorted eigenvalues of H0 with multiplicity, from one L×L ``eigvalsh``.
+
+    H0 is the N-fold Kronecker sum of the one-particle operator, so its
+    spectrum is every sum of N one-particle eigenvalues.
+    """
+    e1 = sla.eigvalsh(_one_particle_kinetic(model).toarray())
+    sums = np.zeros(1)
+    for _ in range(model.N):
+        sums = np.add.outer(sums, e1).ravel()
+    return np.sort(sums)
 
 
 def build_pair_potential(model: LatticeModel, pair: Pair) -> Operator:

@@ -26,6 +26,8 @@ from fykit.errors import (
     TooLargeError,
 )
 
+from fykit.faddeev import assemble_faddeev_operator, faddeev_components, random_split
+
 from conftest import random_symmetric
 
 
@@ -89,6 +91,50 @@ def test_block_operator_flatten_matches_manual_assembly():
     flat = block.flatten().materialize()
     want = np.block([[a, b], [np.zeros((3, 3)), np.eye(3)]])
     assert np.allclose(flat, want)
+
+
+def _random_block(rng, kind, d):
+    if kind == "dense":
+        return Operator.dense(rng.standard_normal((d, d)))
+    if kind == "diagonal":
+        return Operator.diagonal(rng.standard_normal(d))
+    if kind == "complex":
+        return Operator.dense(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    # COO triplets, possibly with duplicates and explicitly stored -0.0
+    nnz = int(rng.integers(0, 2 * d + 1))
+    vals = rng.standard_normal(nnz)
+    vals[rng.random(nnz) < 0.2] = -0.0
+    rows, cols = rng.integers(0, d, nnz), rng.integers(0, d, nnz)
+    return Operator.sparse(sp.csr_matrix((vals, (rows, cols)), shape=(d, d)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(min_value=1, max_value=3),
+    d=st.integers(min_value=1, max_value=5),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    kinds=st.lists(st.sampled_from([None, "dense", "diagonal", "sparse", "complex"]),
+                   min_size=9, max_size=9),
+    block_diagonal=st.booleans(),
+)
+def test_flatten_is_bytewise_the_block_of_materialized_blocks(m, d, seed, kinds, block_diagonal):
+    rng = np.random.default_rng(seed)
+    grid = [[None] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(m):
+            kind = kinds[i * 3 + j]
+            if kind is not None and (i == j or not block_diagonal):
+                grid[i][j] = _random_block(rng, kind, d)
+    block = BlockOperator(grid, block_dim=d)
+    want = np.block([[np.zeros((d, d)) if e is None else e.materialize() for e in row]
+                     for row in grid])
+    flat = block.flatten()
+    only_diagonal = all(e is None or (i == j and e.kind == "diagonal")
+                        for i, row in enumerate(grid) for j, e in enumerate(row))
+    assert flat.kind == ("diagonal" if only_diagonal else "dense")
+    got = flat.materialize()
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
 
 
 def test_block_rows_splits_flat_vectors():
@@ -226,6 +272,47 @@ def test_retry_driver_steps_off_an_exact_eigenvalue(d, seed, diagonal, t):
     assert res.residual_norm <= 1e-10
     assert res.shift_history[0] != t
     assert np.min(np.abs(np.linalg.eigvalsh(a) - res.value)) <= 1e-8
+
+
+def _eigen_outcome(**kwargs):
+    try:
+        r = shift_invert_eigenpair(**kwargs)
+    except (ShiftSingularError, SolverFailureError) as exc:
+        return type(exc).__name__, str(exc)
+    return (r.value, r.vector.tobytes(), r.residual_norm, r.iterations, r.factorizations,
+            r.shift_history)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    d=st.integers(min_value=1, max_value=40),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    t=st.floats(min_value=-5.0, max_value=5.0),
+)
+def test_diagonal_pencil_b_is_bitwise_the_dense_one(d, seed, t):
+    # a diagonal B is subtracted and applied only at its diagonal; a dense B
+    # everywhere. Every entry off the diagonal is an exact zero, so the two
+    # must agree to the last bit, failures included.
+    rng = np.random.default_rng(seed)
+    a = 3.0 * random_symmetric(rng, d)
+    k = (rng.random(d) < 0.7).astype(np.float64)
+    got = _eigen_outcome(a=a, target=t, b=Operator.diagonal(k))
+    want = _eigen_outcome(a=a, target=t, b=np.diag(k))
+    assert got == want
+
+
+def test_solvers_leave_dense_operators_unchanged():
+    split = random_split(3, 9, seed=17)
+    flat = assemble_faddeev_operator(split).flatten()
+    b = Operator.dense(np.diag(np.linspace(0.5, 1.5, flat.dim)))
+    ops = (split.h0, *split.potentials, flat, b)
+    before = [op.materialize().tobytes() for op in ops]
+    shift_invert_eigenpair(flat, 0.1)
+    shift_invert_eigenpair(flat, 0.1, b=b)
+    linear_solve(split.h0, 0.3, np.ones(split.dim))
+    vals, vecs = np.linalg.eigh(split.total().materialize())
+    faddeev_components(split, vals[0], vecs[:, 0])
+    assert [op.materialize().tobytes() for op in ops] == before
 
 
 def test_shift_invert_failure_carries_diagnostics():

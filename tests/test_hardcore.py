@@ -1,6 +1,7 @@
 """Hard-core constraint surgery: pencil assembly, oracle, physicality filters."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,6 +136,22 @@ def test_solve_hardcore3_matches_restricted_oracle(tiny3):
         assert result.physical
         assert result.core_vanishing <= 1e-10
         assert result.restricted_residual <= 1e-8
+
+
+def test_solve_hardcore3_holds_one_dense_copy():
+    # the flattened A plus the one working copy its LU factors in place, and
+    # little else: B stays diagonal and flatten makes no per-block temporaries
+    model = LatticeModel(N=3, L=8, potential=PairPotential("gaussian", (-4.0, 1.0)),
+                         core_radius=1)
+    n = 3 * model.dimension
+    tracemalloc.start()
+    try:
+        result = solve_hardcore3(model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.physical
+    assert peak < 2.5 * n * n * 8
 
 
 def test_hardcore_ground_state_is_monotone_in_core(tiny3):

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fykit.blockops import dense_eigenvalues
 from fykit.errors import InvalidInputError, TooLargeError
@@ -15,6 +18,7 @@ from fykit.lattice import (
     build_permutation,
     coordinate_table,
     dense_oracle_spectrum,
+    h0_spectrum,
     hamiltonian_terms,
     separations,
 )
@@ -122,6 +126,23 @@ def test_kinetic_kronecker_sum_spectrum():
     want = np.sort((lam[:, None] + lam[None, :]).ravel())
     got = np.sort(np.real(dense_eigenvalues(build_h0(two).materialize(), hermitian=True)))
     assert np.allclose(got, want, atol=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=4),
+    size=st.integers(min_value=2, max_value=9),
+    boundary=st.sampled_from(["box", "ring"]),
+    t=st.floats(min_value=0.0, max_value=3.0),
+)
+def test_h0_spectrum_is_the_dense_spectrum(n, size, boundary, t):
+    # keep L^N at most 512 so the dense reference stays cheap
+    L = min(size, int(round(512 ** (1.0 / n))))
+    model = LatticeModel(N=n, L=L, boundary=boundary, t=t)
+    want = sla.eigvalsh(build_h0(model).materialize())
+    got = h0_spectrum(model)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
 
 
 def test_pair_potential_is_diagonal_and_symmetric_under_swap():
