@@ -212,16 +212,6 @@ class Operator:
 
     __rmul__ = __mul__
 
-    def shifted(self, z) -> "Operator":
-        """This operator minus ``z`` times the identity."""
-        if self.kind == "diagonal":
-            return Operator.diagonal(self._data - z)
-        if self.kind == "dense":
-            out = self._data.astype(np.result_type(self._data.dtype, type(z)), copy=True)
-            out[np.diag_indices(self.dim)] -= z
-            return Operator.dense(out)
-        return Operator.sparse(self._data - z * sp.identity(self.dim, format="csr"))
-
     def __repr__(self):
         return f"Operator(kind={self.kind!r}, dim={self.dim})"
 

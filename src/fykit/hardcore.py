@@ -34,13 +34,13 @@ solver attached.
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.linalg as sla
 
 from .blockops import (
     BlockOperator,
@@ -58,6 +58,7 @@ from .errors import (
 from .faddeev import FewBodySplit, assemble_faddeev_operator
 from .lattice import (
     LatticeModel,
+    _lowest_eigh,
     build_hamiltonian,
     dense_oracle_spectrum,
     hamiltonian_terms,
@@ -119,8 +120,11 @@ def restricted_space(model: LatticeModel) -> np.ndarray:
 
 
 def restricted_oracle(model: LatticeModel, k: Optional[int] = None) -> list[EigenResult]:
-    """Ground truth for hard cores: delete in-core configurations, then eigh.
+    """Ground truth for hard cores: the lowest k by subset ``eigh`` of the restricted H.
 
+    In-core configurations are deleted: the sparse H is sliced to the kept
+    configurations and goes through the same engine as the dense oracle
+    (exact-symmetry check, k validated before anything is factored).
     Returned eigenvectors are embedded back into the full configuration
     space (zeros on deleted sites) so they compare directly with
     reconstructed pencil states. Residuals are measured in the restricted
@@ -139,25 +143,11 @@ def restricted_oracle(model: LatticeModel, k: Optional[int] = None) -> list[Eige
             f"no configuration survives core radius {model.core_radius} on L={model.L}"
         )
     hr = build_hamiltonian(model).to_sparse()[kept][:, kept].toarray()
-    vals, vecs = sla.eigh(hr)
-    if k is None:
-        k = vals.shape[0]
-    if not 1 <= k <= vals.shape[0]:
-        raise InvalidInputError(f"eigenpair count must be in 1..{vals.shape[0]}, got {k}")
     out = []
-    for idx in range(k):
-        res = float(np.linalg.norm(hr @ vecs[:, idx] - vals[idx] * vecs[:, idx]))
+    for r in _lowest_eigh(hr, k, "restricted-eigh"):
         full = np.zeros(model.dimension)
-        full[kept] = vecs[:, idx]
-        out.append(
-            EigenResult(
-                value=float(vals[idx]),
-                vector=full,
-                residual_norm=res,
-                iterations=0,
-                method="restricted-eigh",
-            )
-        )
+        full[kept] = r.vector
+        out.append(dataclasses.replace(r, vector=full))
     return out
 
 
@@ -290,7 +280,7 @@ def solve_hardcore3(
     else:
         core_abs = float(np.max(np.abs(psi[in_core]))) if in_core.any() else 0.0
         core_vanishing = core_abs / pnorm
-        hr = build_hamiltonian(model).to_sparse()[kept][:, kept].toarray()
+        hr = build_hamiltonian(model).to_sparse()[kept][:, kept]
         psir = psi[kept]
         rnorm = np.linalg.norm(psir)
         if rnorm == 0.0:

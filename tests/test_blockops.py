@@ -59,8 +59,6 @@ def test_operator_arithmetic_matches_matrices():
     want = a + np.diag(d) - 0.5 * b
     assert np.allclose(combo.materialize(), want)
     assert np.allclose((-Operator.dense(a)).materialize(), -a)
-    shifted = Operator.dense(a).shifted(2.5)
-    assert np.allclose(shifted.materialize(), a - 2.5 * np.eye(4))
 
 
 def test_zero_and_identity():
