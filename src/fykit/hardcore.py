@@ -34,9 +34,8 @@ solver attached.
 
 from __future__ import annotations
 
-import dataclasses
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -147,7 +146,7 @@ def restricted_oracle(model: LatticeModel, k: Optional[int] = None) -> list[Eige
     for r in _lowest_eigh(hr, k, "restricted-eigh"):
         full = np.zeros(model.dimension)
         full[kept] = r.vector
-        out.append(dataclasses.replace(r, vector=full))
+        out.append(replace(r, vector=full))
     return out
 
 

@@ -323,7 +323,7 @@ def _lowest_eigh(h: np.ndarray, k: Optional[int], method: str) -> list[EigenResu
 
 
 def dense_oracle_spectrum(model: LatticeModel, k: Optional[int] = None) -> list[EigenResult]:
-    """Lowest-k eigenpairs of H = H0 + Σα Vα, lowest k by subset ``eigh``.
+    """The lowest k eigenpairs of H = H0 + Σα Vα by subset ``eigh``.
 
     This is the brute-force ground truth every decomposition identity is
     measured against: a dense LAPACK symmetric eigensolver, independent of
