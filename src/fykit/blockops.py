@@ -354,7 +354,7 @@ def dense_eigenvalues(a, hermitian: bool = False) -> np.ndarray:
 
 
 def linear_solve(a, z, rhs) -> np.ndarray:
-    """Solve (A − z·I)·x = rhs by dense LU with iterative refinement.
+    """Solve (A − z·I)·x = rhs by LU (sparse for a sparse A) with iterative refinement.
 
     Refinement repeats until the true residual is at or below 1e-12 relative
     to ‖rhs‖ or stops improving; a system that cannot reach that target is
@@ -365,24 +365,30 @@ def linear_solve(a, z, rhs) -> np.ndarray:
 
 
 class _Resolvent:
-    """(A − z·I)⁻¹ from one dense LU, shared by every right-hand side.
+    """(A − z·I)⁻¹ from one LU, shared by every right-hand side.
 
-    The LU is computed on the first nonzero right-hand side (or condition
+    A sparse or diagonal A is factored by SuperLU, a dense one by LAPACK. The
+    LU is computed on the first nonzero right-hand side (or condition
     estimate) and reused; each solve refines its own residual and raises
     :class:`SingularMatrixError` exactly as :func:`linear_solve` does.
     """
 
     def __init__(self, a, z):
-        mat = _coerce_matrix(a)  # shares a dense input, so only that one is copied
-        densified = sp.issparse(a) or (isinstance(a, Operator) and a.kind != "dense")
-        self.m = mat.astype(np.result_type(mat.dtype, type(z)), copy=not densified)
-        self.m[np.diag_indices(self.m.shape[0])] -= z
+        mat = _solver_matrix(a)  # shares a dense input, so only that one is copied
+        dtype = np.result_type(mat.dtype, type(z))
+        if sp.issparse(mat):
+            self.m = sp.csc_matrix(mat - z * sp.identity(mat.shape[0]), dtype=dtype)
+        else:
+            self.m = mat.astype(dtype)
+            self.m[np.diag_indices(self.m.shape[0])] -= z
 
     @functools.cached_property
     def lu(self):
         try:
+            if sp.issparse(self.m):
+                return spla.splu(self.m)
             lu, piv = sla.lu_factor(self.m)
-        except (sla.LinAlgError, ValueError) as exc:
+        except (sla.LinAlgError, ValueError, RuntimeError) as exc:  # splu: RuntimeError
             raise SingularMatrixError(f"LU factorization failed: {exc}") from exc
         if not np.all(np.isfinite(lu)):
             raise SingularMatrixError("LU factorization produced non-finite factors")
@@ -390,15 +396,28 @@ class _Resolvent:
             raise SingularMatrixError("shifted matrix is exactly singular (zero pivot)")
         return lu, piv
 
+    def _lu_solve(self, b):
+        lu = self.lu
+        if isinstance(lu, tuple):
+            return sla.lu_solve(lu, b)
+        if np.iscomplexobj(b) and not np.iscomplexobj(self.m.data):  # SuperLU keeps its dtype
+            return lu.solve(b.real) + 1j * lu.solve(b.imag)
+        return lu.solve(b)
+
     def cond_estimate(self) -> float:
-        """LAPACK condition estimate of A − z·I in the 1-norm; inf when singular."""
+        """1-norm condition estimate of A − z·I, inf when singular: LAPACK ``gecon``
+        dense, ``onenormest`` of the inverse sparse (t=1 draws no random probes)."""
         try:
-            lu, _ = self.lu
+            lu = self.lu
         except SingularMatrixError:
             return np.inf
-        gecon = lapack.get_lapack_funcs("gecon", (lu,))
-        rcond, _ = gecon(lu, np.linalg.norm(self.m, 1), norm="1")
-        return np.inf if rcond <= 0.0 else float(1.0 / rcond)
+        if isinstance(lu, tuple):
+            gecon = lapack.get_lapack_funcs("gecon", (lu[0],))
+            rcond, _ = gecon(lu[0], np.linalg.norm(self.m, 1), norm="1")
+            return np.inf if rcond <= 0.0 else float(1.0 / rcond)
+        inverse = spla.LinearOperator(self.m.shape, matvec=lu.solve, dtype=self.m.dtype,
+                                      rmatvec=lambda x: lu.solve(x, trans="H"))
+        return float(spla.onenormest(inverse, t=1) * spla.norm(self.m, 1))
 
     def solve(self, rhs) -> np.ndarray:
         m = self.m
@@ -408,8 +427,7 @@ class _Resolvent:
         bnorm = np.linalg.norm(b)
         if bnorm == 0.0:
             return np.zeros_like(b)
-        lu = self.lu
-        x = sla.lu_solve(lu, b)
+        x = self._lu_solve(b)
         if not np.all(np.isfinite(x)):
             raise SingularMatrixError("solve produced non-finite entries; shifted matrix is singular")
         best_res = np.inf
@@ -423,7 +441,7 @@ class _Resolvent:
             if res >= best_res * 0.5:
                 break
             best_res = res
-            x = x + sla.lu_solve(lu, r)
+            x = x + self._lu_solve(r)
         r = b - m @ x
         res = float(np.linalg.norm(r) / bnorm)
         if res <= _REFINE_TARGET:

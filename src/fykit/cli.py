@@ -46,6 +46,7 @@ from .errors import (
 from .faddeev import (
     FaddeevComponents,
     FewBodySplit,
+    _FaddeevShiftedFactor,
     assemble_faddeev_operator,
     faddeev_components,
     faddeev_residual,
@@ -437,6 +438,18 @@ def cmd_oracle(args, out: _Out, cfg: RunConfig) -> int:
     return 0
 
 
+def _record_solution(out: _Out, z: float, res) -> None:
+    out.record(
+        "solution",
+        f"eigenvalue {_e(z)}  residual {_e(res.residual_norm)}  iterations {res.iterations}  "
+        f"factorizations {res.factorizations}",
+        eigenvalue=z,
+        residual=res.residual_norm,
+        iterations=res.iterations,
+        factorizations=res.factorizations,
+    )
+
+
 def cmd_solve3(args, out: _Out, cfg: RunConfig) -> int:
     model = _require_model(cfg, n=3, forbid_core=True)
     h0, pairs, pots = hamiltonian_terms(model)
@@ -448,7 +461,8 @@ def cmd_solve3(args, out: _Out, cfg: RunConfig) -> int:
         out.comment(f"auto target from dense oracle: {_g(target)}")
     else:
         target = cfg.target
-    res = shift_invert_retry(flat, target, tol=cfg.tol, max_iter=cfg.max_iter, seed=args.seed)
+    res = shift_invert_retry(flat, target, tol=cfg.tol, max_iter=cfg.max_iter, seed=args.seed,
+                             shifted_factor=lambda z: _FaddeevShiftedFactor(split, z))
     z = float(np.real(res.value))
     nearest = float(np.min(np.abs(h0_spectrum(model) - z)))
     if nearest <= _SPURIOUS_COMMENT_WINDOW:
@@ -461,15 +475,7 @@ def cmd_solve3(args, out: _Out, cfg: RunConfig) -> int:
     fe = faddeev_residual(split, fc)
     psi = fc.total()
     ls = lippmann_schwinger_residual(split, z, psi)
-    out.record(
-        "solution",
-        f"eigenvalue {_e(z)}  residual {_e(res.residual_norm)}  iterations {res.iterations}  "
-        f"factorizations {res.factorizations}",
-        eigenvalue=z,
-        residual=res.residual_norm,
-        iterations=res.iterations,
-        factorizations=res.factorizations,
-    )
+    _record_solution(out, z, res)
     out.record(
         "reconstruction",
         f"lippmann-schwinger residual of reconstructed state {_e(ls)}",
@@ -511,15 +517,7 @@ def cmd_solve4(args, out: _Out, cfg: RunConfig) -> int:
     comps = tuple(np.split(np.real_if_close(res.vector), 18))
     yc = YakubovskyComponents(z=z, components=comps)
     ye = yakubovsky_residual(sysy, yc)
-    out.record(
-        "solution",
-        f"eigenvalue {_e(z)}  residual {_e(res.residual_norm)}  iterations {res.iterations}  "
-        f"factorizations {res.factorizations}",
-        eigenvalue=z,
-        residual=res.residual_norm,
-        iterations=res.iterations,
-        factorizations=res.factorizations,
-    )
+    _record_solution(out, z, res)
     out.record("columns", "chain       kind  norm              ye_residual",
                columns=["chain", "kind", "norm", "ye_residual"])
     for chain, comp, r in zip(sysy.chains, comps, ye):

@@ -34,6 +34,8 @@ from .blockops import (
     BlockOperator,
     Operator,
     _Resolvent,
+    _shifted_factor,
+    _solver_matrix,
     dense_eigenvalues,
     linear_solve,
     match_into,
@@ -219,6 +221,27 @@ def assemble_faddeev_operator(split: FewBodySplit) -> BlockOperator:
     flatten at eigenvalue z stack exactly the coupled-equation solutions.
     """
     return assemble_coupled(split, range(split.n), np.ones((split.n, split.n), dtype=bool))
+
+
+class _FaddeevShiftedFactor:
+    """(F − z)⁻¹ for the flattened Faddeev operator F, from one LU each of H − z and H0 − z.
+
+    Summing the rows of (F − z) s = r gives (H − z) Ψ = Σα rα for Ψ = Σα sα;
+    row α then gives (H0 − z) sα = rα − Vα Ψ. Both steps are exact, so F − z is
+    singular exactly when z ∈ σ(H) ∪ σ(H0), and that factorization raises
+    :class:`ShiftSingularError`. ``solve`` keeps the shape of the stacked blocks.
+    """
+
+    def __init__(self, split: FewBodySplit, z):
+        self.potentials = split.potentials
+        self.h = _shifted_factor(_solver_matrix(split.total()), None, z)
+        self.h0 = _shifted_factor(_solver_matrix(split.h0), None, z)
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        blocks = np.asarray(b).reshape(len(self.potentials), -1)
+        psi = self.h.solve(blocks.sum(axis=0))
+        rhs = np.stack([r - v.apply(psi) for r, v in zip(blocks, self.potentials)], axis=1)
+        return self.h0.solve(rhs).T.reshape(np.shape(b))
 
 
 def faddeev_residual(split: FewBodySplit, comps: FaddeevComponents) -> np.ndarray:

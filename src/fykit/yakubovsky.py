@@ -21,12 +21,12 @@ Summing the rows of one pair γ over the partitions a ⊃ γ collapses the
 system onto the six pair sums s_γ = Σ_{a⊃γ} ψ_{aγ}: every β ≠ γ lies inside
 exactly one such partition, so the sums obey the three-body-style Faddeev
 equations (H0 + Vγ − z) s_γ + Vγ Σ_{β≠γ} s_β = (pair sum of the right-hand
-side). The shifted four-body solve uses that reduction: it factors the
-6-block Faddeev operator and the six channel operators H0 + Vα, solves for
-the pair sums, and recovers each chain component from its own channel. The
-flattened 18-block operator is assembled only for products, Rayleigh
-quotients and the post-hoc residual, so the check stays independent of the
-reduced solve.
+side). The shifted four-body solve uses that reduction: it solves for the
+pair sums through H − z and H0 − z, then recovers each chain component from
+its own channel H0 + Vα, so nothing larger than the model dimension d is
+factored. The flattened 18-block operator is assembled only for products,
+Rayleigh quotients and the post-hoc residual, so the check stays
+independent of the reduced solve.
 
 For four identical particles the components are pairwise related by the
 exact lattice permutation operators; the checks here measure that transport
@@ -71,8 +71,8 @@ from .errors import (
 from .faddeev import (
     FaddeevComponents,
     FewBodySplit,
+    _FaddeevShiftedFactor,
     assemble_coupled,
-    assemble_faddeev_operator,
 )
 
 __all__ = [
@@ -305,13 +305,14 @@ class _PairSumFactor:
     """(A − z)⁻¹ for the flattened 18-block operator A, through the pair sums.
 
     Solving (A − z) x = b: the pair sums s = S x solve the 6-block Faddeev
-    system (F − z) s = S b, where S sums the chain blocks of each pair; then
-    x_{aα} = (H0 + Vα − z)⁻¹ (b_{aα} − Vα Σ_{(β≠α)⊂a} s_β). Both steps are
-    exact, so A − z is singular exactly when F − z or a channel is, and
-    either raises :class:`ShiftSingularError` from its factorization.
+    system (F − z) s = S b (S sums the chain blocks of each pair), solved
+    through H − z and H0 − z; then x_{aα} = (H0 + Vα − z)⁻¹ (b_{aα} − Vα
+    Σ_{(β≠α)⊂a} s_β). Every step is exact and factors nothing larger than d,
+    so A − z is singular exactly when H − z, H0 − z or a channel is, and that
+    factorization raises :class:`ShiftSingularError`.
     """
 
-    def __init__(self, sys: YakubovskySystem, faddeev_flat, z):
+    def __init__(self, sys: YakubovskySystem, z):
         split, pairs, chains = sys.split, sys.pairs, sys.chains
         self.potentials = split.potentials
         # chain indices of each pair, and the other pairs inside each chain's partition
@@ -320,7 +321,7 @@ class _PairSumFactor:
             [pairs.index(b) for b in c.partition.internal_pairs() if b != c.pair]
             for c in chains
         ]
-        self.faddeev = _shifted_factor(faddeev_flat, None, z)
+        self.faddeev = _FaddeevShiftedFactor(split, z)
         self.channels = [
             _shifted_factor(_solver_matrix(split.h0 + v), None, z) for v in split.potentials
         ]
@@ -328,7 +329,7 @@ class _PairSumFactor:
     def solve(self, b: np.ndarray) -> np.ndarray:
         blocks = np.asarray(b).reshape(len(self.chain_others), -1)
         pair_rhs = np.stack([blocks[rows].sum(axis=0) for rows in self.pair_rows])
-        sums = self.faddeev.solve(pair_rhs.ravel()).reshape(pair_rhs.shape)
+        sums = self.faddeev.solve(pair_rhs)
         out = np.empty(blocks.shape, dtype=np.result_type(blocks, sums))
         for rows, channel, v in zip(self.pair_rows, self.channels, self.potentials):
             rhs = np.stack(
@@ -349,19 +350,18 @@ def solve_fourbody_ground_state(
     """Shift-invert solve of the flattened 18-block operator from ``target``.
 
     Each shifted solve goes through the six Faddeev pair sums
-    (:class:`_PairSumFactor`), so nothing larger than the 6-block Faddeev
-    operator is factored; the 18-block flatten (sparse beyond the dense
-    limit) serves only the products and the post-hoc residual. ``seed``
-    fixes the start vector. The returned eigenvalue is checked against the
-    unperturbed and channel spectra: the enlarged operator carries auxiliary
-    spectrum there, and landing within 1e−6 of it triggers a
-    :class:`SpuriousRootWarning` (the auxiliary set of the 18-block operator
-    is measured, not given by a theorem, so this is a warning rather than an
-    error). A singular start shift is nudged by :func:`shift_invert_retry`.
+    (:class:`_PairSumFactor`), so nothing larger than the model dimension d
+    is factored; the 18-block flatten (sparse beyond the dense limit) serves
+    only the products and the post-hoc residual. ``seed`` fixes the start
+    vector. The returned eigenvalue is checked against the unperturbed and
+    channel spectra: the enlarged operator carries auxiliary spectrum there,
+    and landing within 1e−6 of it triggers a :class:`SpuriousRootWarning`
+    (the auxiliary set of the 18-block operator is measured, not given by a
+    theorem, so this is a warning rather than an error). A singular start
+    shift is nudged by :func:`shift_invert_retry`.
     """
     flat = assemble_yakubovsky_operator(sys).flatten()
-    faddeev_flat = _solver_matrix(assemble_faddeev_operator(sys.split).flatten())
-    factor = functools.partial(_PairSumFactor, sys, faddeev_flat)
+    factor = functools.partial(_PairSumFactor, sys)
     result = shift_invert_retry(
         flat, target, tol=tol, max_iter=max_iter, seed=seed, shifted_factor=factor
     )

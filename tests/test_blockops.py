@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from fykit.blockops import (
     BlockOperator,
     Operator,
+    _Resolvent,
     dense_eigenvalues,
     dense_limit,
     dump_matrix_text,
@@ -185,6 +186,30 @@ def test_linear_solve_detects_singular_shift():
     a = np.diag([1.0, 2.0, 3.0])
     with pytest.raises(SingularMatrixError):
         linear_solve(a, 2.0, np.ones(3))
+
+
+def test_sparse_resolvent_matches_the_dense_one():
+    rng = np.random.default_rng(23)
+    a = random_symmetric(rng, 30)
+    a[np.abs(a) < 0.8] = 0.0
+    rhs = rng.standard_normal(30)
+    z = -3.7
+    dense, sparse = _Resolvent(a, z), _Resolvent(sp.csr_matrix(a), z)
+    x = sparse.solve(rhs)
+    shifted = a - z * np.eye(30)
+    assert np.linalg.norm(shifted @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+    assert np.linalg.norm(x - dense.solve(rhs)) <= 1e-10 * np.linalg.norm(x)
+    assert np.allclose(sparse.solve(1j * rhs), 1j * x, rtol=0, atol=1e-12 * np.linalg.norm(x))
+    # onenormest bounds ‖(A − z)⁻¹‖₁ from below, and is close on small systems
+    exact = np.linalg.cond(shifted, 1)
+    assert exact / 3 <= sparse.cond_estimate() <= exact * (1 + 1e-12)
+    assert sparse.cond_estimate() == pytest.approx(dense.cond_estimate(), rel=0.5)
+
+
+@pytest.mark.filterwarnings("ignore")
+def test_sparse_linear_solve_detects_singular_shift():
+    with pytest.raises(SingularMatrixError):
+        linear_solve(Operator.diagonal(np.array([1.0, 2.0, 3.0])), 2.0, np.ones(3))
 
 
 def test_linear_solve_zero_rhs_is_zero():

@@ -1,4 +1,4 @@
-"""The four-body shifted solve through the six Faddeev pair sums."""
+"""Shifted solves through H − z and H0 − z, and the four-body pair-sum reduction."""
 
 import numpy as np
 import pytest
@@ -8,8 +8,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fykit import cli
-from fykit.blockops import _solver_matrix
-from fykit.faddeev import FewBodySplit, assemble_faddeev_operator, random_split
+from fykit.faddeev import (
+    FewBodySplit,
+    _FaddeevShiftedFactor,
+    assemble_faddeev_operator,
+    random_split,
+)
 from fykit.lattice import LatticeModel, PairPotential, dense_oracle_spectrum, hamiltonian_terms
 from fykit.yakubovsky import (
     YakubovskySystem,
@@ -19,10 +23,30 @@ from fykit.yakubovsky import (
 )
 
 # Two backward-stable solves of one system agree to about cond·eps, so the
-# comparison below is made only where every shifted operator involved is
-# reasonably conditioned: the 18-block flatten, the Faddeev flatten and the
-# six channels.
+# comparisons below are made only where every shifted operator involved is
+# reasonably conditioned: the flatten, and each operator the reduced solve
+# factors.
 _MAX_COND = 1e6
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=6),
+    d=st.integers(min_value=1, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**16),
+    hermitian=st.booleans(),
+    z=st.floats(min_value=-12.0, max_value=12.0),
+)
+def test_faddeev_shifted_factor_matches_dense_solve(n, d, seed, hermitian, z):
+    split = random_split(n, d, seed, hermitian=hermitian)
+    flat = assemble_faddeev_operator(split).flatten().materialize()
+    shifted = [flat, split.total().materialize(), split.h0.materialize()]
+    assume(all(np.linalg.cond(m - z * np.eye(m.shape[0])) <= _MAX_COND for m in shifted))
+
+    b = np.random.default_rng(seed).standard_normal(n * d)
+    x = _FaddeevShiftedFactor(split, z).solve(b)
+    ref = np.linalg.solve(flat - z * np.eye(n * d), b)
+    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 @settings(max_examples=60, deadline=None)
@@ -42,15 +66,14 @@ def test_pair_sum_factor_matches_dense_solve(d, seed, hermitian, z):
     assume(all(np.linalg.cond(m - z * np.eye(m.shape[0])) <= _MAX_COND for m in shifted))
 
     b = np.random.default_rng(seed).standard_normal(18 * d)
-    x = _PairSumFactor(sysy, _solver_matrix(faddeev), z).solve(b)
+    x = _PairSumFactor(sysy, z).solve(b)
     ref = np.linalg.solve(flat - z * np.eye(18 * d), b)
     assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
-def test_fourbody_solve_factors_nothing_larger_than_the_faddeev_operator(
-    tiny4_split, monkeypatch
-):
-    split, _ = tiny4_split
+@pytest.fixture
+def factored_dims(monkeypatch):
+    """Dimensions of every matrix handed to a dense or sparse LU."""
     dims = []
 
     def spy(kernel):
@@ -61,10 +84,32 @@ def test_fourbody_solve_factors_nothing_larger_than_the_faddeev_operator(
 
     monkeypatch.setattr(sla, "lu_factor", spy(sla.lu_factor))
     monkeypatch.setattr(spla, "splu", spy(spla.splu))
+    return dims
+
+
+def test_fourbody_solve_factors_nothing_larger_than_the_faddeev_operator(
+    tiny4_split, factored_dims
+):
+    split, _ = tiny4_split
     res = solve_fourbody_ground_state(YakubovskySystem(split=split), target=-28.6)
     assert res.factorizations >= 1
-    assert dims
-    assert max(dims) <= 6 * split.dim
+    assert factored_dims
+    assert max(factored_dims) <= 6 * split.dim
+
+
+def test_shifted_solves_factor_nothing_larger_than_the_model(
+    tiny3_split, tiny4_split, factored_dims, capsys
+):
+    assert cli.main(["solve3", "--config", "tiny3"]) == 0
+    capsys.readouterr()
+    assert factored_dims
+    assert max(factored_dims) <= tiny3_split[0].dim
+
+    factored_dims.clear()
+    split, _ = tiny4_split
+    solve_fourbody_ground_state(YakubovskySystem(split=split), target=-28.6)
+    assert factored_dims
+    assert max(factored_dims) <= split.dim
 
 
 @pytest.fixture(scope="module")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse.linalg as spla
 
 from fykit.blockops import dense_eigenvalues
 from fykit.combinatorics import all_permutations
@@ -80,8 +81,12 @@ def test_chain_components_solve_coupled_equations(tiny4_ground, tiny4_system):
 def test_chain_components_factor_each_channel_once(monkeypatch, tiny4_ground, tiny4_system):
     gs, fc, yc = tiny4_ground
     calls = []
-    real = sla.lu_factor
-    monkeypatch.setattr(sla, "lu_factor", lambda *a, **k: calls.append(1) or real(*a, **k))
+    # the lattice channels are sparse (SuperLU); count either LU kernel
+    for module, name in ((sla, "lu_factor"), (spla, "splu")):
+        real = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *a, _real=real, **k: calls.append(1) or _real(*a, **k)
+        )
     again = yakubovsky_components(tiny4_system, gs.value, fc)
     assert len(calls) == 6  # the six distinct channels H0 + Vα, not the 18 chains
     for got, want in zip(again.components, yc.components):
