@@ -13,8 +13,10 @@ underlying Hamiltonian is Hermitian, so the dense kernel is a general
 
 Dense work is capped by :func:`dense_limit` (default 4096). The
 ``FY_DENSE_LIMIT`` environment variable is the one way to change the cap; no
-config file sets it. Beyond the cap only the shift-invert path is available
-and flattening falls back to a sparse matrix.
+config file sets it. Beyond the cap only the shift-invert path is available.
+Flattening goes dense only for a grid that holds a dense block and fits the
+cap; a grid of sparse and diagonal blocks flattens sparse at any size, so the
+lattice operators and the hard-core pencil are factored by SuperLU.
 
 Every shift-invert solve in the package goes through
 :func:`shift_invert_retry`, which retries a singular start shift with a
@@ -23,8 +25,10 @@ nudged target.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import os
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -258,9 +262,11 @@ class BlockOperator:
         """The (m·d)-dimensional operator with this block layout, of the cheapest exact kind.
 
         Diagonal blocks on the block diagonal alone give a diagonal operator.
-        Otherwise it is dense, each block written straight into its slice,
-        while m·d stays within :func:`dense_limit`, and sparse beyond it,
-        which restricts the caller to the shift-invert path.
+        A grid holding at least one dense block is dense, each block written
+        straight into its slice, while m·d stays within :func:`dense_limit`.
+        Every other grid, and every grid beyond the cap, is sparse: the
+        blocks' COO triplets at their block offsets, in an explicit
+        (m·d)-square shape, so empty block rows and columns keep their place.
         """
         d, n = self.block_dim, self.dim
         present = [(i, j, e) for i, row in enumerate(self.entries)
@@ -271,7 +277,7 @@ class BlockOperator:
             for i, _, e in present:
                 diag[i * d:(i + 1) * d] = e._data
             return Operator.diagonal(diag)
-        if n <= dense_limit():
+        if any(e.kind == "dense" for _, _, e in present) and n <= dense_limit():
             out = np.zeros((n, n), dtype=dtype)
             for i, j, e in present:
                 blk = out[i * d:(i + 1) * d, j * d:(j + 1) * d]
@@ -283,8 +289,11 @@ class BlockOperator:
                 else:
                     blk[...] = e._data
             return Operator.dense(out)
-        grid = [[e.to_sparse() if e is not None else None for e in row] for row in self.entries]
-        return Operator.sparse(sp.bmat(grid, format="csr"))
+        coos = [(i, j, e.to_sparse().tocoo()) for i, j, e in present]
+        rows = np.concatenate([i * d + c.row for i, _, c in coos])
+        cols = np.concatenate([j * d + c.col for _, j, c in coos])
+        vals = np.concatenate([c.data for _, _, c in coos])
+        return Operator.sparse(sp.csr_matrix((vals, (rows, cols)), shape=(n, n), dtype=dtype))
 
     def block_rows(self, x: np.ndarray) -> list[np.ndarray]:
         """Split a flat vector of length m·d into its m block pieces."""
@@ -386,7 +395,7 @@ class _Resolvent:
     def lu(self):
         try:
             if sp.issparse(self.m):
-                return spla.splu(self.m)
+                return _splu(self.m)
             lu, piv = sla.lu_factor(self.m)
         except (sla.LinAlgError, ValueError, RuntimeError) as exc:  # splu: RuntimeError
             raise SingularMatrixError(f"LU factorization failed: {exc}") from exc
@@ -472,10 +481,37 @@ class _DenseFactor:
         return sla.lu_solve((self.lu, self.piv), b)
 
 
+def _splu(mat):
+    """SuperLU factors of ``mat``, run with fd 1 and fd 2 on the null device.
+
+    SuperLU failing on an exactly singular matrix makes the BLAS print
+    ``** On entry to DGEMV ...`` through C stdio, which would land in the
+    CLI's stdout. Python's and C's buffers are flushed on each switch, so
+    only what is printed during the factorization is discarded.
+    """
+    fflush = ctypes.CDLL(None).fflush
+    fflush.argtypes, fflush.restype = [ctypes.c_void_p], ctypes.c_int
+    sys.stdout.flush()
+    sys.stderr.flush()
+    fflush(None)
+    saved = [os.dup(1), os.dup(2)]
+    sink = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(sink, 1)
+        os.dup2(sink, 2)
+        return spla.splu(mat)
+    finally:
+        fflush(None)
+        os.dup2(saved[0], 1)
+        os.dup2(saved[1], 2)
+        for fd in (*saved, sink):
+            os.close(fd)
+
+
 class _SparseFactor:
     def __init__(self, mat: sp.spmatrix):
         try:
-            self.f = spla.splu(sp.csc_matrix(mat))
+            self.f = _splu(sp.csc_matrix(mat))
         except RuntimeError as exc:
             raise ShiftSingularError(f"shifted sparse matrix is singular: {exc}") from exc
 

@@ -189,10 +189,20 @@ def assemble_hardcore3_pencil(model: LatticeModel, surface_only: bool = False) -
     the pencil square with one constraint per core site. Without a core no
     site is owned, and the pencil is (Faddeev operator, identity).
     """
+    return _pencil_and_split(model, surface_only)[0]
+
+
+def _pencil_and_split(model: LatticeModel, surface_only: bool) -> tuple[HardcorePencil, FewBodySplit]:
+    """:func:`assemble_hardcore3_pencil` plus the split it was built from.
+
+    ``split.total()`` sums the terms in the order :func:`build_hamiltonian`
+    does, so it is H bit for bit without assembling the terms a second time.
+    """
     if model.N != 3:
         raise InvalidInputError(f"three-body pencil needs N=3, got N={model.N}")
     h0, pairs, pots = hamiltonian_terms(model)
-    faddeev_op = assemble_faddeev_operator(FewBodySplit(h0=h0, potentials=tuple(pots)))
+    split = FewBodySplit(h0=h0, potentials=tuple(pots))
+    faddeev_op = assemble_faddeev_operator(split)
     d = model.dimension
 
     owner = np.full(d, -1, dtype=np.int64)
@@ -216,8 +226,9 @@ def assemble_hardcore3_pencil(model: LatticeModel, surface_only: bool = False) -
         [[Operator.diagonal(keep[i]) if i == j else None for j in range(3)] for i in range(3)],
         block_dim=d,
     )
-    return HardcorePencil(a=a, b=b, constraint_rows=constraint_rows,
-                          collision_count=int(np.sum(claimed > 1)), surface_only=surface_only)
+    pencil = HardcorePencil(a=a, b=b, constraint_rows=constraint_rows,
+                            collision_count=int(np.sum(claimed > 1)), surface_only=surface_only)
+    return pencil, split
 
 
 @dataclass(frozen=True)
@@ -258,7 +269,7 @@ def solve_hardcore3(
     restricted equation, otherwise the result is flagged and a warning
     raised. ``seed`` fixes the start vector of the inverse iteration.
     """
-    pencil = assemble_hardcore3_pencil(model, surface_only=surface_only)
+    pencil, split = _pencil_and_split(model, surface_only)
     kept = restricted_space(model)
     if target is None:
         target = restricted_oracle(model, 1)[0].value
@@ -279,7 +290,7 @@ def solve_hardcore3(
     else:
         core_abs = float(np.max(np.abs(psi[in_core]))) if in_core.any() else 0.0
         core_vanishing = core_abs / pnorm
-        hr = build_hamiltonian(model).to_sparse()[kept][:, kept]
+        hr = split.total().to_sparse()[kept][:, kept]
         psir = psi[kept]
         rnorm = np.linalg.norm(psir)
         if rnorm == 0.0:

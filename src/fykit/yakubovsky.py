@@ -351,7 +351,7 @@ def solve_fourbody_ground_state(
 
     Each shifted solve goes through the six Faddeev pair sums
     (:class:`_PairSumFactor`), so nothing larger than the model dimension d
-    is factored; the 18-block flatten (sparse beyond the dense limit) serves
+    is factored; the 18-block flatten (sparse for lattice models) serves
     only the products and the post-hoc residual. ``seed`` fixes the start
     vector. The returned eigenvalue is checked against the unperturbed and
     channel spectra: the enlarged operator carries auxiliary spectrum there,

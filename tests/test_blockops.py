@@ -115,8 +115,10 @@ def _random_block(rng, kind, d):
     kinds=st.lists(st.sampled_from([None, "dense", "diagonal", "sparse", "complex"]),
                    min_size=9, max_size=9),
     block_diagonal=st.booleans(),
+    limit_offset=st.integers(min_value=-3, max_value=3),
 )
-def test_flatten_is_bytewise_the_block_of_materialized_blocks(m, d, seed, kinds, block_diagonal):
+def test_flatten_is_bytewise_the_block_of_materialized_blocks(m, d, seed, kinds, block_diagonal,
+                                                              limit_offset):
     rng = np.random.default_rng(seed)
     grid = [[None] * m for _ in range(m)]
     for i in range(m):
@@ -127,13 +129,34 @@ def test_flatten_is_bytewise_the_block_of_materialized_blocks(m, d, seed, kinds,
     block = BlockOperator(grid, block_dim=d)
     want = np.block([[np.zeros((d, d)) if e is None else e.materialize() for e in row]
                      for row in grid])
-    flat = block.flatten()
+    limit = max(1, m * d + limit_offset)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("FY_DENSE_LIMIT", str(limit))
+        flat = block.flatten()
     only_diagonal = all(e is None or (i == j and e.kind == "diagonal")
                         for i, row in enumerate(grid) for j, e in enumerate(row))
-    assert flat.kind == ("diagonal" if only_diagonal else "dense")
+    any_dense = any(e is not None and e.kind == "dense" for row in grid for e in row)
+    assert flat.kind == ("diagonal" if only_diagonal
+                         else "dense" if any_dense and m * d <= limit else "sparse")
     got = flat.materialize()
     assert got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("limit", [None, "1"])
+def test_sparse_flatten_keeps_empty_block_rows_and_columns(monkeypatch, limit):
+    if limit is not None:
+        monkeypatch.setenv("FY_DENSE_LIMIT", limit)
+    lone = Operator.sparse(sp.csr_matrix(np.array([[2.0]])))
+    corner = BlockOperator([[None, None, None], [None, None, None], [None, None, lone]])
+    assert corner.flatten().kind == "sparse"
+    assert corner.flatten().materialize().tolist() == [[0.0] * 3, [0.0] * 3, [0.0, 0.0, 2.0]]
+    upper = Operator.sparse(sp.csr_matrix(np.array([[1.0, 2.0], [3.0, 4.0]])))
+    flat = BlockOperator([[None, upper], [None, None]]).flatten()
+    assert flat.dim == 4
+    want = np.zeros((4, 4))
+    want[:2, 2:] = [[1.0, 2.0], [3.0, 4.0]]
+    assert np.array_equal(flat.materialize(), want)
 
 
 def test_block_rows_splits_flat_vectors():

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from fykit.combinatorics import Pair
 from fykit.errors import InvalidInputError, SpuriousRootWarning
@@ -152,6 +153,32 @@ def test_solve_hardcore3_holds_one_dense_copy():
         tracemalloc.stop()
     assert result.physical
     assert peak < 2.5 * n * n * 8
+
+
+@pytest.mark.parametrize("core", [None, 1])
+def test_solve_hardcore3_factors_the_sparse_pencil(monkeypatch, core):
+    # the pencil's blocks are all sparse, so A − zB goes to SuperLU and no
+    # n×n array exists; without a core the peak is the dense oracle's d×d H
+    calls = []
+    real = scipy.linalg.lu_factor
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "lu_factor", spy)
+    model = LatticeModel(N=3, L=8, potential=PairPotential("gaussian", (-4.0, 1.0)),
+                         core_radius=core)
+    n = 3 * model.dimension
+    tracemalloc.start()
+    try:
+        result = solve_hardcore3(model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert calls == []
+    assert result.physical
+    assert peak < 0.5 * n * n * 8
 
 
 def test_hardcore_ground_state_is_monotone_in_core(tiny3):
