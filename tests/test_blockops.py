@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fykit.blockops import (
@@ -117,6 +117,10 @@ def _random_block(rng, kind, d):
     block_diagonal=st.booleans(),
     limit_offset=st.integers(min_value=-3, max_value=3),
 )
+# a lone block whose block row and column are otherwise empty, within and beyond the cap
+@example(m=3, d=1, seed=0, kinds=[None] * 8 + ["sparse"], block_diagonal=False, limit_offset=0)
+@example(m=2, d=2, seed=0, kinds=[None, "sparse"] + [None] * 7, block_diagonal=False,
+         limit_offset=-3)
 def test_flatten_is_bytewise_the_block_of_materialized_blocks(m, d, seed, kinds, block_diagonal,
                                                               limit_offset):
     rng = np.random.default_rng(seed)
@@ -141,22 +145,6 @@ def test_flatten_is_bytewise_the_block_of_materialized_blocks(m, d, seed, kinds,
     got = flat.materialize()
     assert got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("limit", [None, "1"])
-def test_sparse_flatten_keeps_empty_block_rows_and_columns(monkeypatch, limit):
-    if limit is not None:
-        monkeypatch.setenv("FY_DENSE_LIMIT", limit)
-    lone = Operator.sparse(sp.csr_matrix(np.array([[2.0]])))
-    corner = BlockOperator([[None, None, None], [None, None, None], [None, None, lone]])
-    assert corner.flatten().kind == "sparse"
-    assert corner.flatten().materialize().tolist() == [[0.0] * 3, [0.0] * 3, [0.0, 0.0, 2.0]]
-    upper = Operator.sparse(sp.csr_matrix(np.array([[1.0, 2.0], [3.0, 4.0]])))
-    flat = BlockOperator([[None, upper], [None, None]]).flatten()
-    assert flat.dim == 4
-    want = np.zeros((4, 4))
-    want[:2, 2:] = [[1.0, 2.0], [3.0, 4.0]]
-    assert np.array_equal(flat.materialize(), want)
 
 
 def test_block_rows_splits_flat_vectors():
