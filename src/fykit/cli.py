@@ -57,6 +57,7 @@ from .faddeev import (
 from .hardcore import (
     assemble_hardcore3_pencil,
     assemble_hardcore4_constraints,
+    ground_state,
     restricted_oracle,
     restricted_space,
     solve_hardcore3,
@@ -457,8 +458,8 @@ def cmd_solve3(args, out: _Out, cfg: RunConfig) -> int:
     flat = assemble_faddeev_operator(split).flatten()
     _maybe_dump(args, flat)
     if cfg.target is None:
-        target = dense_oracle_spectrum(model, 1)[0].value
-        out.comment(f"auto target from dense oracle: {_g(target)}")
+        target = ground_state(model).value
+        out.comment(f"auto target from lanczos oracle: {_g(target)}")
     else:
         target = cfg.target
     res = shift_invert_retry(flat, target, tol=cfg.tol, max_iter=cfg.max_iter, seed=args.seed,
@@ -502,8 +503,8 @@ def cmd_solve4(args, out: _Out, cfg: RunConfig) -> int:
     if args.dump_matrix:
         _maybe_dump(args, assemble_yakubovsky_operator(sysy).flatten())
     if cfg.target is None:
-        target = dense_oracle_spectrum(model, 1)[0].value
-        out.comment(f"auto target from dense oracle: {_g(target)}")
+        target = ground_state(model).value
+        out.comment(f"auto target from lanczos oracle: {_g(target)}")
     else:
         target = cfg.target
     with warnings.catch_warnings(record=True) as caught:
@@ -592,7 +593,7 @@ def cmd_hardcore3(args, out: _Out, cfg: RunConfig) -> int:
     bad = 0
     for core in cores:
         m = dataclasses.replace(model, core_radius=core)
-        oracle = restricted_oracle(m, 1)[0]
+        oracle = ground_state(m)
         rdim = restricted_space(m).shape[0]
         # Cores run one at a time, so every captured warning belongs to this row.
         with warnings.catch_warnings(record=True) as caught:

@@ -2,7 +2,9 @@
 
 A hard core of radius c forbids every configuration where some pair sits at
 separation ≤ c. The physically defined model is the restricted one: delete
-those configurations and diagonalize what is left (:func:`restricted_oracle`).
+those configurations and diagonalize what is left (:func:`restricted_oracle`
+by subset ``eigh``, the brute-force certifier, or :func:`ground_state` by
+Lanczos when only the lowest energy is wanted).
 The component formulation reproduces it without deleting anything: pair
 potentials are set to zero on their core region, and the component-α
 equation rows on core sites of α are replaced by the constraint
@@ -57,6 +59,7 @@ from .errors import (
 from .faddeev import FewBodySplit, assemble_faddeev_operator
 from .lattice import (
     LatticeModel,
+    _lanczos_ground_state,
     _lowest_eigh,
     build_hamiltonian,
     dense_oracle_spectrum,
@@ -74,6 +77,7 @@ __all__ = [
     "core_region",
     "restricted_space",
     "restricted_oracle",
+    "ground_state",
     "assemble_hardcore3_pencil",
     "solve_hardcore3",
     "assemble_hardcore4_constraints",
@@ -118,36 +122,59 @@ def restricted_space(model: LatticeModel) -> np.ndarray:
     return np.nonzero(keep)[0]
 
 
-def restricted_oracle(model: LatticeModel, k: Optional[int] = None) -> list[EigenResult]:
-    """Ground truth for hard cores: the lowest k by subset ``eigh`` of the restricted H.
-
-    In-core configurations are deleted: the sparse H is sliced to the kept
-    configurations and goes through the same engine as the dense oracle
-    (exact-symmetry check, k validated before anything is factored).
-    Returned eigenvectors are embedded back into the full configuration
-    space (zeros on deleted sites) so they compare directly with
-    reconstructed pencil states. Residuals are measured in the restricted
-    space, where the operator actually lives. Without a core this is the
-    plain dense oracle.
-    """
-    if not model.has_core:
-        return dense_oracle_spectrum(model, k)
-    if model.dimension > dense_limit():
-        raise TooLargeError(
-            f"restricted oracle refused: dim {model.dimension} exceeds limit {dense_limit()}"
-        )
+def _restricted_hamiltonian(model: LatticeModel) -> tuple[np.ndarray, sp.csr_matrix]:
+    """The kept configurations and the sparse H sliced to them."""
     kept = restricted_space(model)
     if kept.shape[0] == 0:
         raise InvalidInputError(
             f"no configuration survives core radius {model.core_radius} on L={model.L}"
         )
-    hr = build_hamiltonian(model).to_sparse()[kept][:, kept].toarray()
-    out = []
-    for r in _lowest_eigh(hr, k, "restricted-eigh"):
-        full = np.zeros(model.dimension)
-        full[kept] = r.vector
-        out.append(replace(r, vector=full))
-    return out
+    return kept, build_hamiltonian(model).to_sparse()[kept][:, kept]
+
+
+def _embed(model: LatticeModel, kept: np.ndarray, result: EigenResult) -> EigenResult:
+    full = np.zeros(model.dimension)
+    full[kept] = result.vector
+    return replace(result, vector=full)
+
+
+def restricted_oracle(model: LatticeModel, k: Optional[int] = None) -> list[EigenResult]:
+    """Ground truth for hard cores: the lowest k by subset ``eigh`` of the restricted H.
+
+    In-core configurations are deleted: the sparse H is sliced to the kept
+    configurations and goes through the same engine as the dense oracle
+    (exact-symmetry check, k validated before anything is factored). Only
+    that slice is densified, so ``dense_limit`` gates the restricted
+    dimension, not L^N. Returned eigenvectors are embedded back into the
+    full configuration space (zeros on deleted sites) so they compare
+    directly with reconstructed pencil states. Residuals are measured in the
+    restricted space, where the operator actually lives. Without a core
+    this is the plain dense oracle.
+    """
+    if not model.has_core:
+        return dense_oracle_spectrum(model, k)
+    kept, hr = _restricted_hamiltonian(model)
+    if kept.shape[0] > dense_limit():
+        raise TooLargeError(
+            f"restricted oracle refused: dim {kept.shape[0]} exceeds limit {dense_limit()}"
+        )
+    return [_embed(model, kept, r) for r in _lowest_eigh(hr.toarray(), k, "restricted-eigh")]
+
+
+def ground_state(model: LatticeModel) -> EigenResult:
+    """The ground state of H (restricted H for a core) by Lanczos, for auto targets.
+
+    The sparse counterpart of ``restricted_oracle(model, 1)``: ARPACK
+    ``eigsh`` on the sparse (restricted) H, with no dense limit, certified
+    by its own recomputed residual. For a core the vector is embedded back
+    into the full configuration space and the residual is measured in the
+    restricted space. Method ``lanczos``, or ``restricted-lanczos`` for a
+    core.
+    """
+    if not model.has_core:
+        return _lanczos_ground_state(build_hamiltonian(model).to_sparse(), "lanczos")
+    kept, hr = _restricted_hamiltonian(model)
+    return _embed(model, kept, _lanczos_ground_state(hr, "restricted-lanczos"))
 
 
 @dataclass(frozen=True)
@@ -261,9 +288,10 @@ def solve_hardcore3(
 ) -> Hardcore3Result:
     """Shift-invert on the hard-core pencil, with post-hoc physicality tests.
 
-    When no target is given the restricted oracle's ground state is used,
-    which is both the physically interesting point and a shift at which the
-    wanted pencil root dominates the inverse iteration. The pencil's
+    When no target is given the Lanczos ground state of the restricted H
+    (:func:`ground_state`) is used, which is both the physically interesting
+    point and a shift at which the wanted pencil root dominates the inverse
+    iteration. The pencil's
     auxiliary roots (B has zero rows) are filtered, not trusted: the
     reconstruction Ψ = Σβ ψβ must vanish on every core site and satisfy the
     restricted equation, otherwise the result is flagged and a warning
@@ -272,7 +300,7 @@ def solve_hardcore3(
     pencil, split = _pencil_and_split(model, surface_only)
     kept = restricted_space(model)
     if target is None:
-        target = restricted_oracle(model, 1)[0].value
+        target = ground_state(model).value
     target = float(target)
 
     result = shift_invert_retry(

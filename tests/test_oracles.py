@@ -1,18 +1,27 @@
-"""The dense and restricted oracles: lowest k by subset ``eigh``, self-certified."""
+"""The oracles, each self-certified: lowest k by subset ``eigh``, ground state by Lanczos."""
 
+import json
 from importlib import resources
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import given, settings
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fykit import cli, hardcore
 from fykit.blockops import Operator
-from fykit.errors import InvalidInputError
-from fykit.hardcore import restricted_oracle, restricted_space
-from fykit.lattice import LatticeModel, PairPotential, build_hamiltonian, dense_oracle_spectrum
+from fykit.errors import InvalidInputError, SolverFailureError, TooLargeError
+from fykit.hardcore import ground_state, restricted_oracle, restricted_space
+from fykit.lattice import (
+    LatticeModel,
+    PairPotential,
+    _lanczos_ground_state,
+    build_hamiltonian,
+    dense_oracle_spectrum,
+)
 
 _DEPTH = st.floats(min_value=-10.0, max_value=10.0)
 _POTENTIALS = st.one_of(
@@ -24,9 +33,9 @@ _POTENTIALS = st.one_of(
 
 
 @st.composite
-def models(draw):
-    n = draw(st.integers(min_value=1, max_value=3))
-    largest = max(L for L in range(2, 344) if L ** n <= 343)
+def models(draw, max_n=3, max_dim=343):
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    largest = max(L for L in range(2, max_dim + 1) if L ** n <= max_dim)
     return LatticeModel(
         N=n,
         L=draw(st.integers(min_value=2, max_value=largest)),
@@ -35,6 +44,12 @@ def models(draw):
         potential=draw(_POTENTIALS),
         core_radius=draw(st.sampled_from([None, 0, 1])),
     )
+
+
+def _in_core(model, kept):
+    mask = np.ones(model.dimension, dtype=bool)
+    mask[kept] = False
+    return mask
 
 
 @settings(max_examples=150, deadline=None)
@@ -49,8 +64,7 @@ def test_oracles_certify_the_lowest_k(model, data):
     oracle = restricted_oracle if model.has_core else dense_oracle_spectrum
     results = oracle(model, k)
     want = np.linalg.eigvalsh(build_hamiltonian(model).materialize()[np.ix_(kept, kept)])[:k]
-    in_core = np.ones(model.dimension, dtype=bool)
-    in_core[kept] = False
+    in_core = _in_core(model, kept)
     assert len(results) == k
     for r, lam in zip(results, want):
         assert r.method == ("restricted-eigh" if model.has_core else "dense-eigh")
@@ -73,14 +87,150 @@ def _spy_on_eigh(monkeypatch):
     return calls
 
 
+def _spy_on_eigsh(monkeypatch):
+    calls = []
+    real = spla.eigsh
+
+    def spy(*args, **kwargs):
+        calls.append((kwargs.get("k"), kwargs.get("ncv")))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "eigsh", spy)
+    return calls
+
+
+@settings(max_examples=150, deadline=None)
+@given(model=models(max_n=4, max_dim=512))
+@example(model=LatticeModel(N=3, L=5, t=0.0, potential=PairPotential.gaussian(-2.0, 1.0)))
+@example(model=LatticeModel(N=3, L=5, potential=PairPotential.onsite(-3.0), core_radius=1))
+@example(model=LatticeModel(N=2, L=2, t=0.0, potential=PairPotential.onsite(-1.0), core_radius=0))
+@example(model=LatticeModel(N=3, L=3, core_radius=1))
+@example(model=LatticeModel(N=3, L=3, t=2.2250738585072e-309, potential=PairPotential.onsite(1.0)))
+@example(model=LatticeModel(N=3, L=5, t=1e-6, potential=PairPotential.table([3.0])))
+def test_lanczos_ground_state_matches_eigvalsh(model):
+    kept = restricted_space(model)
+    if kept.shape[0] == 0:
+        with pytest.raises(InvalidInputError, match="no configuration survives"):
+            ground_state(model)
+        return
+    r = ground_state(model)
+    lam = np.linalg.eigvalsh(build_hamiltonian(model).materialize()[np.ix_(kept, kept)])[0]
+    assert r.method == ("restricted-lanczos" if model.has_core else "lanczos")
+    assert abs(r.value - lam) <= 1e-12 * (1.0 + abs(lam))
+    assert r.residual_norm <= 1e-10
+    assert r.vector.shape == (model.dimension,)
+    assert abs(np.linalg.norm(r.vector) - 1.0) <= 1e-12
+    assert np.all(r.vector[_in_core(model, kept)] == 0.0)
+
+
+@pytest.mark.parametrize("h", [sp.csr_matrix([[2.5]]), sp.csr_matrix((4, 4)),
+                               sp.diags([3.0, -1.0, -1.0, 0.5], format="csr")],
+                         ids=["one-by-one", "zero", "diagonal"])
+def test_lanczos_reads_a_diagonal_hamiltonian_without_arpack(monkeypatch, h):
+    # ARPACK raises TypeError at n = 1 and error -9 on the zero matrix
+    calls = _spy_on_eigsh(monkeypatch)
+    r = _lanczos_ground_state(h, "lanczos")
+    diag = h.diagonal()
+    assert calls == []
+    assert r.value == diag.min()
+    assert r.residual_norm == 0.0
+    assert r.vector[np.argmin(diag)] == 1.0 and np.linalg.norm(r.vector) == 1.0
+
+
+def test_lanczos_finds_an_isolated_zero_energy_state():
+    # unshifted ARPACK returns the lowest level of the chain, 2.0079, not the 0.0
+    chain = sp.diags([np.full(23, -0.5), np.ones(24), np.full(23, -0.5)], [-1, 0, 1])
+    h = sp.block_diag([sp.csr_matrix([[0.0]]), 2.0 * sp.identity(24) + chain], format="csr")
+    r = _lanczos_ground_state(h, "lanczos")
+    assert abs(r.value) <= 1e-14
+    assert abs(abs(r.vector[0]) - 1.0) <= 1e-14
+    assert r.residual_norm <= 1e-14
+
+
+def test_lanczos_retries_a_tight_cluster_on_a_larger_basis(monkeypatch):
+    # hopping 1e-6 against an on-site 3.0: 60 ground levels within about 1e-5;
+    # 20 Lanczos vectors do not converge, 125 (the whole space) do
+    model = LatticeModel(N=3, L=5, t=1e-6, potential=PairPotential.table([3.0]))
+    calls = _spy_on_eigsh(monkeypatch)
+    r = ground_state(model)
+    lam = np.linalg.eigvalsh(build_hamiltonian(model).materialize())[0]
+    assert calls == [(1, 20), (1, 125)]
+    assert abs(r.value - lam) <= 1e-12 * (1.0 + abs(lam))
+    assert r.residual_norm <= 1e-10
+
+
+def test_lanczos_turns_no_convergence_into_a_solver_failure(monkeypatch):
+    calls = []
+
+    def stall(*args, **kwargs):
+        calls.append(kwargs["ncv"])
+        raise spla.ArpackNoConvergence("stalled", np.empty(0), np.empty((16, 0)))
+
+    monkeypatch.setattr(spla, "eigsh", stall)
+    with pytest.raises(SolverFailureError, match="not certified at dim 16"):
+        ground_state(LatticeModel(N=2, L=4))
+    assert calls == [16, 16]
+
+
+@pytest.mark.parametrize("core", [None, 0])
+def test_lanczos_oracle_refuses_an_asymmetric_hamiltonian(monkeypatch, core):
+    model = LatticeModel(N=3, L=4, core_radius=core)
+    h = build_hamiltonian(model).to_sparse().tolil()
+    kept = restricted_space(model)
+    h[kept[0], kept[1]] += 1e-15
+    monkeypatch.setattr(hardcore, "build_hamiltonian", lambda m: Operator.sparse(h.tocsr()))
+    calls = _spy_on_eigsh(monkeypatch)
+    with pytest.raises(InvalidInputError, match="not exactly symmetric"):
+        ground_state(model)
+    assert calls == []
+
+
+def _auto_target_line(capsys, cfg, seed):
+    assert cli.main(["solve3", "--config", str(cfg), "--seed", seed]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    return [line for line in lines if line.startswith("# auto target")]
+
+
 def test_auto_target_diagonalizes_only_the_ground_state(monkeypatch, capsys, tmp_path):
     tiny3 = resources.files("fykit").joinpath("configs", "tiny3.cfg").read_text()
     cfg = tmp_path / "tiny3-auto.cfg"
     cfg.write_text(tiny3.replace("target = -7.6", "target = auto"))
-    calls = _spy_on_eigh(monkeypatch)
-    assert cli.main(["solve3", "--config", str(cfg)]) == 0
-    assert "auto target from dense oracle" in capsys.readouterr().out
-    assert calls == [[0, 0]]
+    eigh_calls = _spy_on_eigh(monkeypatch)
+    eigsh_calls = _spy_on_eigsh(monkeypatch)
+    line = _auto_target_line(capsys, cfg, "1")
+    assert eigh_calls == []
+    assert eigsh_calls == [(1, 20)]
+    assert len(line) == 1 and line[0].startswith("# auto target from lanczos oracle: ")
+    # the oracle's start vector is its own, not the solver's seed
+    assert _auto_target_line(capsys, cfg, "99999") == line
+
+
+def test_solve4_auto_target_lands_on_the_ground_state_of_a_bound_cluster(tmp_path, capsys):
+    # N=4 L=6 on-site −8: E1 − E0 = 1.4e-3, and a target 0.1 below E0 returns
+    # E1 = −40.334578513; the Lanczos auto target returns E0
+    cfg = tmp_path / "n4l6.cfg"
+    cfg.write_text(
+        "[model]\nN = 4\nL = 6\nt = 1.0\npotential.kind = onsite\npotential.params = -8.0\n"
+        "\n[solver]\ntarget = auto\n"
+    )
+    assert cli.main(["solve4", "--config", str(cfg), "--format", "machine"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()
+               if not line.startswith("#")]
+    solution = next(r for r in records if r["record"] == "solution")
+    e0 = dense_oracle_spectrum(LatticeModel(N=4, L=6, potential=PairPotential.onsite(-8.0)), 1)[0]
+    assert abs(solution["eigenvalue"] - e0.value) <= 1e-8
+    assert solution["residual"] <= 1e-10
+
+
+def test_restricted_oracle_is_gated_on_the_restricted_dimension(monkeypatch, tiny3):
+    monkeypatch.setenv("FY_DENSE_LIMIT", "100")
+    core1 = LatticeModel(N=3, L=6, potential=tiny3.potential, core_radius=1)
+    assert core1.dimension == 216 and restricted_space(core1).shape[0] == 24
+    assert restricted_oracle(core1, 1)[0].value == pytest.approx(ground_state(core1).value)
+    core0 = LatticeModel(N=3, L=6, potential=tiny3.potential, core_radius=0)
+    assert restricted_space(core0).shape[0] == 120
+    with pytest.raises(TooLargeError, match="dim 120 exceeds limit 100"):
+        restricted_oracle(core0, 1)
 
 
 @pytest.mark.parametrize("core", [None, 1])
