@@ -291,11 +291,10 @@ def solve_hardcore3(
     When no target is given the Lanczos ground state of the restricted H
     (:func:`ground_state`) is used, which is both the physically interesting
     point and a shift at which the wanted pencil root dominates the inverse
-    iteration. The pencil's
-    auxiliary roots (B has zero rows) are filtered, not trusted: the
-    reconstruction Ψ = Σβ ψβ must vanish on every core site and satisfy the
-    restricted equation, otherwise the result is flagged and a warning
-    raised. ``seed`` fixes the start vector of the inverse iteration.
+    iteration. The pencil's auxiliary roots (B has zero rows) are filtered,
+    not trusted: the reconstruction Ψ = Σβ ψβ must vanish on every core site
+    and satisfy the restricted equation, otherwise the result is flagged and
+    a warning raised. ``seed`` fixes the start vector of the inverse iteration.
     """
     pencil, split = _pencil_and_split(model, surface_only)
     kept = restricted_space(model)

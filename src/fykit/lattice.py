@@ -342,8 +342,8 @@ def _lanczos_ground_state(h: sp.spmatrix, method: str) -> EigenResult:
     in every run. When h has no nonzero off-diagonal entry (d = 1, or t = 0)
     ARPACK cannot run, and the ground state is read off the diagonal. The
     residual is recomputed from h, so the pair certifies itself; a pair that
-    does not converge, or whose residual exceeds its bound, is retried once
-    on a larger Lanczos basis and then refused with SolverFailureError.
+    does not converge, or whose residual exceeds its bound, is retried on
+    larger Lanczos bases and then refused with SolverFailureError.
     """
     h = sp.csr_matrix(h)
     if (h != h.T).nnz:
@@ -363,9 +363,11 @@ def _lanczos_ground_state(h: sp.spmatrix, method: str) -> EigenResult:
         sigma = 1.0 - np.min(diag + abs(diag) - abs(h).sum(axis=1).A1)
         shifted = h + sigma * sp.identity(h.shape[0], format="csr")
         # A ground state packed in a tight cluster (tiny hopping against the
-        # potential) can stall a 20-vector basis or leave its Ritz vector far
-        # off its estimate; the same start then runs once more on a larger one.
-        for ncv in (20, 128):
+        # potential) or degenerate across hard-core ordering sectors can
+        # stall a 20-vector basis or leave its Ritz vector far off its
+        # estimate; the same start then runs again on larger bases (512
+        # spans the whole space of every model up to L^N = 512).
+        for ncv in (20, 128, 512):
             rng = np.random.default_rng(_LANCZOS_SEED)
             v0 = rng.uniform(-1.0, 1.0, h.shape[0])
             try:

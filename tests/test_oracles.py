@@ -169,7 +169,7 @@ def test_lanczos_turns_no_convergence_into_a_solver_failure(monkeypatch):
     monkeypatch.setattr(spla, "eigsh", stall)
     with pytest.raises(SolverFailureError, match="not certified at dim 16"):
         ground_state(LatticeModel(N=2, L=4))
-    assert calls == [16, 16]
+    assert calls == [16, 16, 16]
 
 
 @pytest.mark.parametrize("core", [None, 0])
