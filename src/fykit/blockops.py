@@ -15,8 +15,10 @@ Dense work is capped by :func:`dense_limit` (default 4096). The
 ``FY_DENSE_LIMIT`` environment variable is the one way to change the cap; no
 config file sets it. Beyond the cap only the shift-invert path is available.
 Flattening goes dense only for a grid that holds a dense block and fits the
-cap; a grid of sparse and diagonal blocks flattens sparse at any size, so the
-lattice operators and the hard-core pencil are factored by SuperLU.
+cap; a grid of sparse and diagonal blocks flattens sparse at any size. The
+lattice solvers factor only d-dimensional operators (H − z, H0 − z and the
+channels, by SuperLU) and use the flattens for products; the hard-core
+pencil A − zB itself is factored by SuperLU only next to σ(H0).
 
 Every shift-invert solve in the package goes through
 :func:`shift_invert_retry`, which retries a singular start shift with a

@@ -593,17 +593,17 @@ def cmd_hardcore3(args, out: _Out, cfg: RunConfig) -> int:
     bad = 0
     for core in cores:
         m = dataclasses.replace(model, core_radius=core)
-        oracle = ground_state(m)
         rdim = restricted_space(m).shape[0]
         # Cores run one at a time, so every captured warning belongs to this row.
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             result = solve_hardcore3(
-                m, target=oracle.value if target is None else target, tol=cfg.tol,
-                max_iter=cfg.max_iter, surface_only=args.surface_only, seed=args.seed,
+                m, target=target, tol=cfg.tol, max_iter=cfg.max_iter,
+                surface_only=args.surface_only, seed=args.seed,
             )
         for w in caught:
             out.comment(f"warning: {w.message}")
+        oracle = result.ground_state
         z = float(np.real(result.eigen.value))
         diff = abs(z - oracle.value)
         ok = result.physical and diff <= 1e-8

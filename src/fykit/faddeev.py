@@ -230,17 +230,46 @@ class _FaddeevShiftedFactor:
     row α then gives (H0 − z) sα = rα − Vα Ψ. Both steps are exact, so F − z is
     singular exactly when z ∈ σ(H) ∪ σ(H0), and that factorization raises
     :class:`ShiftSingularError`. ``solve`` keeps the shape of the stacked blocks.
+
+    With ``owner`` (the owning component of each constraint site, −1 on the
+    rest R) it solves the hard-core pencil (A − zB) s = r instead, whose row α
+    on a site c it owns reads Σβ sβ(c) = rα(c). So Ψ on the constraint sites C
+    is read off r, (H − z)_RR Ψ_R = (Σα rα)_R − H_RC Ψ_C gives the rest, and
+    (H0 − z) sα = K_α(rα − Vα Ψ) + (I − K_α) μ with
+    μ = (H0 − z) Ψ − Σα K_α (rα − Vα Ψ), which makes Σα sα = Ψ. The pencil is
+    singular exactly when z ∈ σ(H_RR) ∪ σ(H0). ``h`` is H when the caller
+    holds it already.
     """
 
-    def __init__(self, split: FewBodySplit, z):
+    def __init__(self, split: FewBodySplit, z, owner: Optional[np.ndarray] = None,
+                 h: Optional[Operator] = None):
         self.potentials = split.potentials
-        self.h = _shifted_factor(_solver_matrix(split.total()), None, z)
+        self.h0_op, self.z = split.h0, z
+        hmat = _solver_matrix(split.total() if h is None else h)
+        owner = np.full(split.dim, -1) if owner is None else np.asarray(owner)
+        self.core = np.nonzero(owner >= 0)[0]
+        self.core_rows = owner[self.core]
+        if self.core.size:
+            self.free = np.nonzero(owner < 0)[0]
+            rows = hmat[self.free]
+            self.coupling = rows[:, self.core]
+            hmat = rows[:, self.free]
+        self.h = _shifted_factor(hmat, None, z)
         self.h0 = _shifted_factor(_solver_matrix(split.h0), None, z)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         blocks = np.asarray(b).reshape(len(self.potentials), -1)
-        psi = self.h.solve(blocks.sum(axis=0))
+        psi = blocks.sum(axis=0)
+        if self.core.size:
+            psi[self.core] = blocks[self.core_rows, self.core]
+            psi[self.free] = self.h.solve(psi[self.free] - self.coupling @ psi[self.core])
+        else:
+            psi = self.h.solve(psi)
         rhs = np.stack([r - v.apply(psi) for r, v in zip(blocks, self.potentials)], axis=1)
+        if self.core.size:
+            rhs[self.core, self.core_rows] = 0.0
+            mu = self.h0_op.apply(psi) - self.z * psi - rhs.sum(axis=1)
+            rhs[self.core, self.core_rows] = mu[self.core]
         return self.h0.solve(rhs).T.reshape(np.shape(b))
 
 

@@ -17,11 +17,18 @@ pencil (A, B). Both come from the Faddeev operator F and one row mask per
 component, K_α = diag(site is not a constraint row of α): A_αβ = K_α F_αβ +
 (I − K_α) and B_αα = K_α, so B is the identity with zeros exactly on
 constraint rows, and without a core (no constraint rows) the pencil is
-(F, I). Eigenvalues of the restricted model are eigenvalues of the pencil
-(lift the restricted eigenvector through the component construction); the
-pencil may carry auxiliary roots as well, so accepted eigenpairs are
-filtered by the vanishing and restricted-equation tests, never trusted on
-the eigenvalue alone.
+(F, I). With C the constraint sites and R the rest, the pencil's finite
+spectrum is exactly
+
+    σ(A, B) = σ(H_RR) ∪ σ(H0),
+
+because (A − zB) s = r is solved exactly through H − z restricted to R and
+H0 − z (``faddeev._FaddeevShiftedFactor``), so it is singular exactly when
+one of those is. With the full-core constraint R is the restricted space,
+so the physical roots are σ(H_RR) and the auxiliary roots are exactly
+σ(H0). A root of either kind can land next to the target, so accepted
+eigenpairs are filtered by the vanishing and restricted-equation tests,
+never trusted on the eigenvalue alone.
 
 Constraints are imposed on the whole discrete core (surface included): a
 lattice has no unambiguous "surface x = c", and the full-core constraint is
@@ -47,6 +54,8 @@ from .blockops import (
     BlockOperator,
     EigenResult,
     Operator,
+    _shifted_factor,
+    _solver_matrix,
     dense_limit,
     shift_invert_retry,
 )
@@ -56,13 +65,14 @@ from .errors import (
     SpuriousRootWarning,
     TooLargeError,
 )
-from .faddeev import FewBodySplit, assemble_faddeev_operator
+from .faddeev import FewBodySplit, _FaddeevShiftedFactor, assemble_faddeev_operator
 from .lattice import (
     LatticeModel,
     _lanczos_ground_state,
     _lowest_eigh,
     build_hamiltonian,
     dense_oracle_spectrum,
+    h0_spectrum,
     hamiltonian_terms,
     separations,
 )
@@ -85,6 +95,10 @@ __all__ = [
 
 CORE_VANISHING_TOL = 1e-10
 RESTRICTED_RESIDUAL_TOL = 1e-8
+# Relative distance to σ(H0) within which a shift factors the assembled pencil:
+# there H − z and H0 − z are both near-singular and the reduced solve loses
+# backward stability (a free-fermion E0 always lies in σ(H0)).
+H0_SPECTRUM_GUARD = 1e-6
 
 
 @dataclass(frozen=True)
@@ -122,14 +136,16 @@ def restricted_space(model: LatticeModel) -> np.ndarray:
     return np.nonzero(keep)[0]
 
 
-def _restricted_hamiltonian(model: LatticeModel) -> tuple[np.ndarray, sp.csr_matrix]:
-    """The kept configurations and the sparse H sliced to them."""
+def _restricted_hamiltonian(
+    model: LatticeModel, h: sp.csr_matrix
+) -> tuple[np.ndarray, sp.csr_matrix]:
+    """The kept configurations and the model's sparse H, ``h``, sliced to them."""
     kept = restricted_space(model)
     if kept.shape[0] == 0:
         raise InvalidInputError(
             f"no configuration survives core radius {model.core_radius} on L={model.L}"
         )
-    return kept, build_hamiltonian(model).to_sparse()[kept][:, kept]
+    return kept, h[kept][:, kept]
 
 
 def _embed(model: LatticeModel, kept: np.ndarray, result: EigenResult) -> EigenResult:
@@ -153,7 +169,7 @@ def restricted_oracle(model: LatticeModel, k: Optional[int] = None) -> list[Eige
     """
     if not model.has_core:
         return dense_oracle_spectrum(model, k)
-    kept, hr = _restricted_hamiltonian(model)
+    kept, hr = _restricted_hamiltonian(model, build_hamiltonian(model).to_sparse())
     if kept.shape[0] > dense_limit():
         raise TooLargeError(
             f"restricted oracle refused: dim {kept.shape[0]} exceeds limit {dense_limit()}"
@@ -171,9 +187,14 @@ def ground_state(model: LatticeModel) -> EigenResult:
     restricted space. Method ``lanczos``, or ``restricted-lanczos`` for a
     core.
     """
+    return _ground_state(model, build_hamiltonian(model).to_sparse())
+
+
+def _ground_state(model: LatticeModel, h: sp.csr_matrix) -> EigenResult:
+    """:func:`ground_state` of the model's H, already assembled as ``h``."""
     if not model.has_core:
-        return _lanczos_ground_state(build_hamiltonian(model).to_sparse(), "lanczos")
-    kept, hr = _restricted_hamiltonian(model)
+        return _lanczos_ground_state(h, "lanczos")
+    kept, hr = _restricted_hamiltonian(model, h)
     return _embed(model, kept, _lanczos_ground_state(hr, "restricted-lanczos"))
 
 
@@ -219,8 +240,11 @@ def assemble_hardcore3_pencil(model: LatticeModel, surface_only: bool = False) -
     return _pencil_and_split(model, surface_only)[0]
 
 
-def _pencil_and_split(model: LatticeModel, surface_only: bool) -> tuple[HardcorePencil, FewBodySplit]:
-    """:func:`assemble_hardcore3_pencil` plus the split it was built from.
+def _pencil_and_split(
+    model: LatticeModel, surface_only: bool
+) -> tuple[HardcorePencil, FewBodySplit, np.ndarray]:
+    """:func:`assemble_hardcore3_pencil` plus the split it was built from and
+    the owning pair of each configuration (−1 where no pair owns a constraint).
 
     ``split.total()`` sums the terms in the order :func:`build_hamiltonian`
     does, so it is H bit for bit without assembling the terms a second time.
@@ -255,7 +279,7 @@ def _pencil_and_split(model: LatticeModel, surface_only: bool) -> tuple[Hardcore
     )
     pencil = HardcorePencil(a=a, b=b, constraint_rows=constraint_rows,
                             collision_count=int(np.sum(claimed > 1)), surface_only=surface_only)
-    return pencil, split
+    return pencil, split, owner
 
 
 @dataclass(frozen=True)
@@ -266,7 +290,8 @@ class Hardcore3Result:
     ‖Ψ‖; ``restricted_residual`` is the Schrödinger defect of Ψ on the
     restricted space. ``physical`` is the conjunction of both filters at
     their documented thresholds; a False value means the solver landed on an
-    auxiliary pencil root.
+    auxiliary pencil root. ``ground_state`` is :func:`ground_state` of the
+    same H, the default target and the value to compare against.
     """
 
     eigen: EigenResult
@@ -276,6 +301,7 @@ class Hardcore3Result:
     restricted_residual: float
     physical: bool
     target_used: float
+    ground_state: EigenResult
 
 
 def solve_hardcore3(
@@ -295,15 +321,28 @@ def solve_hardcore3(
     not trusted: the reconstruction Ψ = Σβ ψβ must vanish on every core site
     and satisfy the restricted equation, otherwise the result is flagged and
     a warning raised. ``seed`` fixes the start vector of the inverse iteration.
+
+    Each shift z is factored through H − z restricted to the unconstrained
+    sites and H0 − z (:class:`~fykit.faddeev._FaddeevShiftedFactor`), never
+    the 3d-dimensional pencil, except within ``H0_SPECTRUM_GUARD`` of σ(H0),
+    where A − zB is factored whole.
     """
-    pencil, split = _pencil_and_split(model, surface_only)
+    pencil, split, owner = _pencil_and_split(model, surface_only)
+    h = split.total().to_sparse()
+    gs = _ground_state(model, h)
     kept = restricted_space(model)
-    if target is None:
-        target = ground_state(model).value
-    target = float(target)
+    target = float(gs.value if target is None else target)
+
+    a, b = _solver_matrix(pencil.a.flatten()), _solver_matrix(pencil.b.flatten())
+    sigma_h0 = h0_spectrum(model)
+
+    def shifted_factor(z):
+        if np.min(np.abs(sigma_h0 - z)) <= H0_SPECTRUM_GUARD * (1.0 + abs(z)):
+            return _shifted_factor(a, b, z)
+        return _FaddeevShiftedFactor(split, z, owner=owner, h=h)
 
     result = shift_invert_retry(
-        pencil.a.flatten(), target, b=pencil.b.flatten(), tol=tol, max_iter=max_iter, seed=seed
+        a, target, b=b, tol=tol, max_iter=max_iter, seed=seed, shifted_factor=shifted_factor
     )
 
     comps = tuple(pencil.a.block_rows(np.real_if_close(result.vector)))
@@ -317,7 +356,7 @@ def solve_hardcore3(
     else:
         core_abs = float(np.max(np.abs(psi[in_core]))) if in_core.any() else 0.0
         core_vanishing = core_abs / pnorm
-        hr = split.total().to_sparse()[kept][:, kept]
+        hr = h[kept][:, kept]
         psir = psi[kept]
         rnorm = np.linalg.norm(psir)
         if rnorm == 0.0:
@@ -344,6 +383,7 @@ def solve_hardcore3(
         restricted_residual=float(restricted_residual),
         physical=physical,
         target_used=target,
+        ground_state=gs,
     )
 
 

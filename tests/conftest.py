@@ -1,9 +1,19 @@
 """Shared fixtures: the two lattice presets and a seeded abstract split."""
 
 import pytest
+from hypothesis import strategies as st
 
 from fykit.faddeev import FewBodySplit
 from fykit.lattice import LatticeModel, PairPotential, hamiltonian_terms
+
+_DEPTH = st.floats(min_value=-10.0, max_value=10.0)
+# every pair-potential kind, for the hypothesis model strategies
+POTENTIALS = st.one_of(
+    st.builds(PairPotential.onsite, _DEPTH),
+    st.builds(PairPotential.square, _DEPTH, st.integers(min_value=0, max_value=3)),
+    st.builds(PairPotential.gaussian, _DEPTH, st.floats(min_value=0.2, max_value=3.0)),
+    st.builds(PairPotential.table, st.lists(_DEPTH, min_size=1, max_size=5)),
+)
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -6,12 +6,22 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from conftest import POTENTIALS
+from fykit import blockops
 from fykit.combinatorics import Pair
 from fykit.errors import InvalidInputError, SpuriousRootWarning
-from fykit.faddeev import FewBodySplit, assemble_faddeev_operator, faddeev_components
+from fykit.faddeev import (
+    FewBodySplit,
+    _FaddeevShiftedFactor,
+    assemble_faddeev_operator,
+    faddeev_components,
+)
 from fykit.hardcore import (
     Hardcore4Evaluator,
+    _pencil_and_split,
     assemble_hardcore3_pencil,
     assemble_hardcore4_constraints,
     core_region,
@@ -23,6 +33,7 @@ from fykit.lattice import (
     LatticeModel,
     PairPotential,
     dense_oracle_spectrum,
+    h0_spectrum,
     hamiltonian_terms,
     separations,
 )
@@ -157,16 +168,22 @@ def test_solve_hardcore3_holds_one_dense_copy():
 
 @pytest.mark.parametrize("core", [None, 1])
 def test_solve_hardcore3_factors_the_sparse_pencil(monkeypatch, core):
-    # the pencil's blocks are all sparse, so A − zB goes to SuperLU and no
-    # n×n array exists; without a core the peak is the dense oracle's d×d H
-    calls = []
-    real = scipy.linalg.lu_factor
+    # each shift factors H − z on the unconstrained sites and H0 − z, both
+    # sparse and at most d wide, so neither the 3d pencil nor an n×n array
+    # is ever factored
+    calls, factored = [], []
+    real, real_splu = scipy.linalg.lu_factor, blockops._splu
 
     def spy(*args, **kwargs):
         calls.append(args[0].shape)
         return real(*args, **kwargs)
 
+    def splu_spy(mat):
+        factored.append(mat.shape[0])
+        return real_splu(mat)
+
     monkeypatch.setattr(scipy.linalg, "lu_factor", spy)
+    monkeypatch.setattr(blockops, "_splu", splu_spy)
     model = LatticeModel(N=3, L=8, potential=PairPotential("gaussian", (-4.0, 1.0)),
                          core_radius=core)
     n = 3 * model.dimension
@@ -177,8 +194,87 @@ def test_solve_hardcore3_factors_the_sparse_pencil(monkeypatch, core):
     finally:
         tracemalloc.stop()
     assert calls == []
+    assert factored and max(factored) <= model.dimension
     assert result.physical
     assert peak < 0.5 * n * n * 8
+
+
+def test_solve_hardcore3_factors_the_pencil_on_the_free_spectrum():
+    # on-site potential zeroed by core 0: free fermions, whose E0 = 5 − √3
+    # lies in σ(H0), where the reduced solve loses backward stability; the
+    # σ(H0) guard factors A − zB whole there instead
+    model = LatticeModel(N=3, L=5, boundary="box", potential=PairPotential.onsite(-3.0),
+                         core_radius=0)
+    result = solve_hardcore3(model)
+    assert result.physical
+    assert result.eigen.value == pytest.approx(3.2679491924311215, abs=1e-10)
+    assert result.ground_state.value == pytest.approx(3.2679491924311215, abs=1e-10)
+
+
+def _dense_pencil(model, surface_only):
+    pencil, split, owner = _pencil_and_split(model, surface_only)
+    a = pencil.a.flatten().materialize()
+    b = pencil.b.flatten().materialize()
+    h = split.total().materialize()
+    free = owner < 0
+    sigma_rr = np.linalg.eigvalsh(h[np.ix_(free, free)]) if free.any() else np.empty(0)
+    return pencil, split, owner, a, b, np.concatenate([sigma_rr, h0_spectrum(model)])
+
+
+@st.composite
+def pencil_models(draw):
+    pot = draw(POTENTIALS)
+    per_pair = draw(st.one_of(st.none(), st.fixed_dictionaries({(1, 3): POTENTIALS})))
+    return LatticeModel(
+        N=3,
+        L=draw(st.integers(min_value=3, max_value=6)),
+        boundary=draw(st.sampled_from(["box", "ring"])),
+        potential=pot,
+        core_radius=draw(st.sampled_from([None, 0, 1, 2])),
+        per_pair=per_pair,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(model=pencil_models(), surface_only=st.booleans(), data=st.data())
+def test_reduced_pencil_solve_matches_a_dense_solve(model, surface_only, data):
+    pencil, split, owner, a, b, union = _dense_pencil(model, surface_only)
+    assume(np.any(owner < 0))  # no unconstrained site: solve_hardcore3 refuses first
+    z = data.draw(st.floats(min_value=float(union.min()) - 1.0,
+                            max_value=float(union.max()) + 1.0), label="z")
+    assume(np.min(np.abs(union - z)) >= 1e-3)
+    rhs = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed")).standard_normal(
+        a.shape[0])
+    got = _FaddeevShiftedFactor(split, z, owner=owner).solve(rhs)
+    shifted = a - z * b
+    want = np.linalg.solve(shifted, rhs)
+    # both solves are backward stable, so they differ by about cond·u; the
+    # defective free-fermion roots make cond large even 1e-3 off the spectrum
+    assert np.linalg.norm(got - want) <= 1e-12 * max(1.0, np.linalg.cond(shifted) * 1e-4) * (
+        np.linalg.norm(want))
+    backward = np.linalg.norm(shifted @ got - rhs) / (
+        np.linalg.norm(shifted, 2) * np.linalg.norm(got) + np.linalg.norm(rhs))
+    assert backward <= 1e-14
+
+
+@pytest.mark.parametrize("boundary, L, core, pot, surface_only, tol", [
+    ("box", 4, None, PairPotential.gaussian(-4.0, 1.0), False, 1e-12),
+    ("ring", 4, 0, PairPotential.gaussian(-4.0, 1.0), False, 1e-12),
+    ("box", 4, 1, PairPotential.onsite(-3.0), False, 1e-12),
+    ("ring", 4, 1, PairPotential.onsite(-3.0), True, 1e-6),
+    # free fermions: defective roots, perturbed to about u^(1/3)
+    ("box", 5, 0, PairPotential.onsite(-3.0), False, 1e-6),
+])
+def test_pencil_spectrum_is_sigma_h_rr_union_sigma_h0(boundary, L, core, pot, surface_only, tol):
+    model = LatticeModel(N=3, L=L, boundary=boundary, potential=pot, core_radius=core)
+    pencil, _, _, a, b, union = _dense_pencil(model, surface_only)
+    alpha, beta = scipy.linalg.eigvals(a, b, homogeneous_eigvals=True)
+    finite = np.abs(beta) > 1e-8 * np.abs(alpha)
+    values = alpha[finite] / beta[finite]
+    # one infinite root per constraint row; the finite ones are the union, as a set
+    assert finite.sum() == a.shape[0] - len(pencil.constraint_rows)
+    assert max(np.min(np.abs(union - v)) for v in values) <= tol
+    assert max(np.min(np.abs(values - u)) for u in union) <= tol
 
 
 def test_hardcore_ground_state_is_monotone_in_core(tiny3):

@@ -11,6 +11,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import POTENTIALS
 from fykit import cli, hardcore
 from fykit.blockops import Operator
 from fykit.errors import InvalidInputError, SolverFailureError, TooLargeError
@@ -23,14 +24,6 @@ from fykit.lattice import (
     dense_oracle_spectrum,
 )
 
-_DEPTH = st.floats(min_value=-10.0, max_value=10.0)
-_POTENTIALS = st.one_of(
-    st.builds(PairPotential.onsite, _DEPTH),
-    st.builds(PairPotential.square, _DEPTH, st.integers(min_value=0, max_value=3)),
-    st.builds(PairPotential.gaussian, _DEPTH, st.floats(min_value=0.2, max_value=3.0)),
-    st.builds(PairPotential.table, st.lists(_DEPTH, min_size=1, max_size=5)),
-)
-
 
 @st.composite
 def models(draw, max_n=3, max_dim=343):
@@ -41,7 +34,7 @@ def models(draw, max_n=3, max_dim=343):
         L=draw(st.integers(min_value=2, max_value=largest)),
         boundary=draw(st.sampled_from(["box", "ring"])),
         t=draw(st.floats(min_value=0.0, max_value=2.0)),
-        potential=draw(_POTENTIALS),
+        potential=draw(POTENTIALS),
         core_radius=draw(st.sampled_from([None, 0, 1])),
     )
 
