@@ -235,14 +235,13 @@ class _FaddeevShiftedFactor:
     rest R) it solves the hard-core pencil (A − zB) s = r instead, whose row α
     on a site c it owns reads Σβ sβ(c) = rα(c). So Ψ on the constraint sites C
     is read off r, (H − z)_RR Ψ_R = (Σα rα)_R − H_RC Ψ_C gives the rest, and
-    (H0 − z) sα = K_α(rα − Vα Ψ) + (I − K_α) μ with
-    μ = (H0 − z) Ψ − Σα K_α (rα − Vα Ψ), which makes Σα sα = Ψ. The pencil is
-    singular exactly when z ∈ σ(H_RR) ∪ σ(H0). ``h`` is H when the caller
-    holds it already.
+    (H0 − z) sα = K_α(rα − Vα Ψ) + (I − K_α) μ, with K_α zero exactly on the
+    sites α owns and μ = (H0 − z) Ψ − Σα K_α (rα − Vα Ψ), which makes
+    Σα sα = Ψ. The pencil is singular exactly when z ∈ σ(H_RR) ∪ σ(H0).
+    ``h`` is H (an operator or matrix) when the caller holds it already.
     """
 
-    def __init__(self, split: FewBodySplit, z, owner: Optional[np.ndarray] = None,
-                 h: Optional[Operator] = None):
+    def __init__(self, split: FewBodySplit, z, owner: Optional[np.ndarray] = None, h=None):
         self.potentials = split.potentials
         self.h0_op, self.z = split.h0, z
         hmat = _solver_matrix(split.total() if h is None else h)

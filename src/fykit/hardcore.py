@@ -321,6 +321,9 @@ def solve_hardcore3(
     not trusted: the reconstruction Ψ = Σβ ψβ must vanish on every core site
     and satisfy the restricted equation, otherwise the result is flagged and
     a warning raised. ``seed`` fixes the start vector of the inverse iteration.
+    The Lanczos ground state is computed under an explicit target too, as the
+    reference, so a core no configuration survives raises
+    :class:`InvalidInputError`.
 
     Each shift z is factored through H − z restricted to the unconstrained
     sites and H0 − z (:class:`~fykit.faddeev._FaddeevShiftedFactor`), never
