@@ -16,9 +16,10 @@ Dense work is capped by :func:`dense_limit` (default 4096). The
 config file sets it. Beyond the cap only the shift-invert path is available.
 Flattening goes dense only for a grid that holds a dense block and fits the
 cap; a grid of sparse and diagonal blocks flattens sparse at any size. The
-lattice solvers factor only d-dimensional operators (H − z, H0 − z and the
-channels, by SuperLU) and use the flattens for products; the hard-core
-pencil A − zB itself is factored by SuperLU only next to σ(H0).
+lattice solvers factor only H − z (d-dimensional, by SuperLU), solve H0 − z
+and the channels H0 + Vα − z through their Kronecker diagonalizations
+(:class:`fykit.lattice.KroneckerChannel`) and use the flattens for products;
+the hard-core pencil A − zB itself is factored by SuperLU only next to σ(H0).
 
 Every shift-invert solve in the package goes through
 :func:`shift_invert_retry`, which retries a singular start shift with a

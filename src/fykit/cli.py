@@ -65,8 +65,8 @@ from .hardcore import (
 from .lattice import (
     LatticeModel,
     PairPotential,
+    build_split,
     dense_oracle_spectrum,
-    h0_spectrum,
     hamiltonian_terms,
 )
 from .yakubovsky import (
@@ -453,8 +453,7 @@ def _record_solution(out: _Out, z: float, res) -> None:
 
 def cmd_solve3(args, out: _Out, cfg: RunConfig) -> int:
     model = _require_model(cfg, n=3, forbid_core=True)
-    h0, pairs, pots = hamiltonian_terms(model)
-    split = FewBodySplit(h0=h0, potentials=tuple(pots))
+    split = build_split(model)
     flat = assemble_faddeev_operator(split).flatten()
     _maybe_dump(args, flat)
     if cfg.target is None:
@@ -465,7 +464,7 @@ def cmd_solve3(args, out: _Out, cfg: RunConfig) -> int:
     res = shift_invert_retry(flat, target, tol=cfg.tol, max_iter=cfg.max_iter, seed=args.seed,
                              shifted_factor=lambda z: _FaddeevShiftedFactor(split, z))
     z = float(np.real(res.value))
-    nearest = float(np.min(np.abs(h0_spectrum(model) - z)))
+    nearest = float(np.min(np.abs(split.channel_spectrum() - z)))
     if nearest <= _SPURIOUS_COMMENT_WINDOW:
         out.comment(
             f"warning: eigenvalue within {_e(nearest)} of the unperturbed spectrum; "
@@ -484,7 +483,7 @@ def cmd_solve3(args, out: _Out, cfg: RunConfig) -> int:
     )
     out.record("columns", "pair  norm              fe_residual",
                columns=["pair", "norm", "fe_residual"])
-    for pair, comp, r in zip(pairs, comps, fe):
+    for pair, comp, r in zip(model.pairs(), comps, fe):
         out.record(
             "component",
             f"{str(pair):<4s}  {_e(np.linalg.norm(comp))}  {_e(r)}",
@@ -497,8 +496,7 @@ def cmd_solve3(args, out: _Out, cfg: RunConfig) -> int:
 
 def cmd_solve4(args, out: _Out, cfg: RunConfig) -> int:
     model = _require_model(cfg, n=4, forbid_core=True)
-    h0, pairs, pots = hamiltonian_terms(model)
-    split = FewBodySplit(h0=h0, potentials=tuple(pots))
+    split = build_split(model)
     sysy = YakubovskySystem(split=split)
     if args.dump_matrix:
         _maybe_dump(args, assemble_yakubovsky_operator(sysy).flatten())

@@ -25,7 +25,7 @@ builds on top.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -70,10 +70,19 @@ ILL_CONDITION_THRESHOLD = 1e10
 
 @dataclass(frozen=True)
 class FewBodySplit:
-    """An operator H0 plus an ordered list of n >= 2 perturbation parts."""
+    """An operator H0 plus an ordered list of n >= 2 perturbation parts.
+
+    ``channels``, when given, holds H0 and every channel operator H0 + Vα
+    already diagonalized: ``channels[0]`` for H0 and ``channels[1 + α]`` for
+    part α, each with ``spectrum()`` and ``solver(z)``, as
+    :func:`fykit.lattice.build_split` builds them. :meth:`channel_solver` and
+    :meth:`channel_spectrum` use them when present, and otherwise factor or
+    diagonalize the assembled operator.
+    """
 
     h0: Operator
     potentials: tuple
+    channels: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.h0, Operator):
@@ -87,10 +96,38 @@ class FewBodySplit:
             if v.dim != self.h0.dim:
                 raise InvalidInputError(f"potential dim {v.dim} != h0 dim {self.h0.dim}")
         object.__setattr__(self, "potentials", pots)
+        if self.channels is not None and len(self.channels) != len(pots) + 1:
+            raise InvalidInputError(
+                f"a split of {len(pots)} parts needs {len(pots) + 1} channels, "
+                f"got {len(self.channels)}"
+            )
 
     @property
     def n(self) -> int:
         return len(self.potentials)
+
+    def channel_solver(self, z, part: Optional[int] = None):
+        """(H0 − z)⁻¹, or (H0 + V_part − z)⁻¹, as an object with ``solve(b)``.
+
+        b may have one column or several. A singular shift raises
+        :class:`ShiftSingularError`.
+        """
+        if self.channels is not None:
+            return self.channels[0 if part is None else part + 1].solver(z)
+        return _shifted_factor(_solver_matrix(self._channel(part)), None, z)
+
+    def channel_spectrum(self, part: Optional[int] = None) -> np.ndarray:
+        """The eigenvalues of H0, or of H0 + V_part.
+
+        Without ``channels`` they come from :func:`dense_eigenvalues`, which
+        raises :class:`TooLargeError` beyond :func:`dense_limit`.
+        """
+        if self.channels is not None:
+            return self.channels[0 if part is None else part + 1].spectrum()
+        return dense_eigenvalues(self._channel(part))
+
+    def _channel(self, part: Optional[int]) -> Operator:
+        return self.h0 if part is None else self.h0 + self.potentials[part]
 
     @property
     def dim(self) -> int:
@@ -224,12 +261,14 @@ def assemble_faddeev_operator(split: FewBodySplit) -> BlockOperator:
 
 
 class _FaddeevShiftedFactor:
-    """(F − z)⁻¹ for the flattened Faddeev operator F, from one LU each of H − z and H0 − z.
+    """(F − z)⁻¹ for the flattened Faddeev operator F, through H − z and H0 − z.
 
     Summing the rows of (F − z) s = r gives (H − z) Ψ = Σα rα for Ψ = Σα sα;
-    row α then gives (H0 − z) sα = rα − Vα Ψ. Both steps are exact, so F − z is
-    singular exactly when z ∈ σ(H) ∪ σ(H0), and that factorization raises
-    :class:`ShiftSingularError`. ``solve`` keeps the shape of the stacked blocks.
+    row α then gives (H0 − z) sα = rα − Vα Ψ. H − z is factored, and H0 − z
+    goes through :meth:`FewBodySplit.channel_solver`. Both steps are exact, so
+    F − z is singular exactly when z ∈ σ(H) ∪ σ(H0), and the step that meets
+    it raises :class:`ShiftSingularError`. ``solve`` keeps the shape of the
+    stacked blocks.
 
     With ``owner`` (the owning component of each constraint site, −1 on the
     rest R) it solves the hard-core pencil (A − zB) s = r instead, whose row α
@@ -254,7 +293,7 @@ class _FaddeevShiftedFactor:
             self.coupling = rows[:, self.core]
             hmat = rows[:, self.free]
         self.h = _shifted_factor(hmat, None, z)
-        self.h0 = _shifted_factor(_solver_matrix(split.h0), None, z)
+        self.h0 = split.channel_solver(z)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         blocks = np.asarray(b).reshape(len(self.potentials), -1)

@@ -71,9 +71,8 @@ from .lattice import (
     _lanczos_ground_state,
     _lowest_eigh,
     build_hamiltonian,
+    build_split,
     dense_oracle_spectrum,
-    h0_spectrum,
-    hamiltonian_terms,
     separations,
 )
 from .yakubovsky import YakubovskyComponents, YakubovskySystem
@@ -251,8 +250,8 @@ def _pencil_and_split(
     """
     if model.N != 3:
         raise InvalidInputError(f"three-body pencil needs N=3, got N={model.N}")
-    h0, pairs, pots = hamiltonian_terms(model)
-    split = FewBodySplit(h0=h0, potentials=tuple(pots))
+    split = build_split(model)
+    pairs = model.pairs()
     faddeev_op = assemble_faddeev_operator(split)
     d = model.dimension
 
@@ -337,7 +336,7 @@ def solve_hardcore3(
     target = float(gs.value if target is None else target)
 
     a, b = _solver_matrix(pencil.a.flatten()), _solver_matrix(pencil.b.flatten())
-    sigma_h0 = h0_spectrum(model)
+    sigma_h0 = split.channel_spectrum()
 
     def shifted_factor(z):
         if np.min(np.abs(sigma_h0 - z)) <= H0_SPECTRUM_GUARD * (1.0 + abs(z)):

@@ -9,7 +9,10 @@ particle permutations are exact 0/1 index relabelings, and hard-core regions
 are exact index sets rather than discretized surfaces.
 
 The kinetic operator is the Kronecker sum of one-particle hopping operators
-t·(2I − S − Sᵀ); potentials are diagonal in configuration space. Dense
+t·(2I − S − Sᵀ); potentials are diagonal in configuration space. So H0 and
+each channel operator H0 + Vα are Kronecker sums of factors on at most L²
+sites, and :class:`KroneckerChannel` diagonalizes them exactly from those
+factors' eigenpairs; :func:`build_split` hands them to the solvers. Dense
 brute-force diagonalization of H = H0 + Σα Vα is the ground-truth oracle the
 component decompositions elsewhere in the package are verified against;
 it computes the lowest k eigenpairs by subset ``eigh``, only as many as the
@@ -22,7 +25,7 @@ different algorithm from the LU plus inverse iteration it steers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -32,17 +35,21 @@ import scipy.linalg as sla
 
 from .blockops import EigenResult, Operator, dense_limit
 from .combinatorics import Pair, enumerate_pairs
-from .errors import InvalidInputError, SolverFailureError, TooLargeError
+from .errors import InvalidInputError, ShiftSingularError, SolverFailureError, TooLargeError
+from .faddeev import FewBodySplit
 
 __all__ = [
     "PairPotential",
     "LatticeModel",
     "PermutationOperator",
+    "KroneckerChannel",
     "build_h0",
     "h0_spectrum",
     "build_pair_potential",
     "build_hamiltonian",
     "hamiltonian_terms",
+    "kronecker_channels",
+    "build_split",
     "dense_oracle_spectrum",
     "build_permutation",
     "separations",
@@ -253,16 +260,13 @@ def build_h0(model: LatticeModel) -> Operator:
 
 
 def h0_spectrum(model: LatticeModel) -> np.ndarray:
-    """Sorted eigenvalues of H0 with multiplicity, from one L×L ``eigvalsh``.
+    """Sorted eigenvalues of H0 with multiplicity, from one L×L ``eigh``.
 
     H0 is the N-fold Kronecker sum of the one-particle operator, so its
-    spectrum is every sum of N one-particle eigenvalues.
+    spectrum is every sum of N one-particle eigenvalues: the
+    :class:`KroneckerChannel` with no pair.
     """
-    e1 = sla.eigvalsh(_one_particle_kinetic(model).toarray())
-    sums = np.zeros(1)
-    for _ in range(model.N):
-        sums = np.add.outer(sums, e1).ravel()
-    return np.sort(sums)
+    return KroneckerChannel(model, _one_particle_eigh(model)).spectrum()
 
 
 def build_pair_potential(model: LatticeModel, pair: Pair) -> Operator:
@@ -291,6 +295,118 @@ def build_hamiltonian(model: LatticeModel) -> Operator:
     for v in pots:
         h = h + v
     return h
+
+
+# The factors' symmetry-degenerate spectra make LAPACK's default MRRR driver
+# several times slower than divide and conquer.
+_FACTOR_EIGH_DRIVER = "evd"
+
+
+def _one_particle_eigh(model: LatticeModel) -> tuple[np.ndarray, np.ndarray]:
+    return sla.eigh(_one_particle_kinetic(model).toarray(), driver=_FACTOR_EIGH_DRIVER)
+
+
+def _two_particle_eigh(model: LatticeModel, potential: PairPotential) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of one pair's operator on its L² sites: both particles'
+    hopping plus v, core zeroing included (the N=2 model's H)."""
+    pair_model = replace(model, N=2, potential=potential, per_pair=None)
+    h = build_h0(pair_model) + build_pair_potential(pair_model, pair_model.pairs()[0])
+    return sla.eigh(h.materialize(), driver=_FACTOR_EIGH_DRIVER)
+
+
+class KroneckerChannel:
+    """H0, or the channel operator H0 + Vα of one pair α, diagonalized exactly.
+
+    H0 + Vα is the Kronecker sum of the two-particle operator of α on the
+    pair's L² sites and one one-particle hopping operator per spectator; H0
+    is the N-fold Kronecker sum of the one-particle operator. So the
+    eigenpairs of those factors, ``one`` and ``two`` as ``eigh`` returns
+    them, diagonalize the channel: its eigenvectors are the Kronecker
+    products of the factors' and its eigenvalues every sum of one eigenvalue
+    per factor. Neither depends on z, so each shifted solve is two changes
+    of basis along the factor axes and one division.
+    """
+
+    def __init__(self, model: LatticeModel, one: tuple, pair: Optional[Pair] = None,
+                 two: Optional[tuple] = None):
+        n, L = model.N, model.L
+        self.order = tuple(range(n))  # configuration axes, the pair's first
+        factors = [one] * n
+        if pair is not None:
+            i, j = (m - 1 for m in pair.members)
+            self.order = (i, j) + tuple(a for a in range(n) if a not in (i, j))
+            factors = [two] + [one] * (n - 2)
+        self.axes = (L,) * n
+        self.bases = [vecs for _, vecs in factors]
+        lam = np.zeros(())
+        for vals, _ in factors:
+            lam = np.add.outer(lam, vals)
+        self.eigenvalues = lam  # indexed by the factor axes
+
+    def spectrum(self) -> np.ndarray:
+        """Sorted eigenvalues with multiplicity."""
+        return np.sort(self.eigenvalues, axis=None)
+
+    def solver(self, z) -> "_KroneckerSolver":
+        """(channel − z)⁻¹ as an object with ``solve(b)``.
+
+        Raises :class:`ShiftSingularError` when the smallest |λ − z| falls
+        to the pivot floor a dense LU of the shifted channel is refused at.
+        """
+        gap = self.eigenvalues - z
+        absgap = np.abs(gap)
+        if absgap.min() <= 1e-300 * max(absgap.max(), 1.0):
+            raise ShiftSingularError(f"shift {z} is an eigenvalue of the channel")
+        return _KroneckerSolver(self, 1.0 / gap)
+
+    def _apply(self, weights: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Q diag(weights) Qᵀ b for the channel's eigenbasis Q; b has one or several columns.
+
+        Each change of basis contracts one factor axis in a single matrix
+        product and rotates it to the other end of the layout, so the
+        columns end where they started and nothing is copied in between.
+        """
+        b = np.asarray(b)
+        n = len(self.axes)
+        x = b.reshape(self.axes + (-1,)).transpose(self.order + (n,))
+        for u in self.bases:  # Qᵀ: (g0, ..., columns) → (columns, g0, ...)
+            x = x.reshape(u.shape[0], -1).T @ u
+        x = x.reshape(-1, weights.size) * weights.ravel()
+        for u in reversed(self.bases):  # Q: (columns, g0, ...) → (g0, ..., columns)
+            x = u @ x.reshape(-1, u.shape[0]).T
+        x = x.reshape(self.axes + (-1,)).transpose(tuple(np.argsort(self.order)) + (n,))
+        return x.reshape(b.shape)
+
+
+class _KroneckerSolver:
+    def __init__(self, channel: KroneckerChannel, inverse_gap: np.ndarray):
+        self.channel, self.inverse_gap = channel, inverse_gap
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        return self.channel._apply(self.inverse_gap, b)
+
+
+def kronecker_channels(model: LatticeModel) -> tuple:
+    """H0 and every H0 + Vα, in canonical pair order, as :class:`KroneckerChannel`.
+
+    They take one one-particle ``eigh`` and one two-particle ``eigh`` per
+    distinct pair potential, so all pairs of an identical model share one.
+    """
+    one = _one_particle_eigh(model)
+    two: dict = {}
+    channels = [KroneckerChannel(model, one)]
+    for pair in model.pairs():
+        potential = model.potential_for(pair)
+        if potential not in two:
+            two[potential] = _two_particle_eigh(model, potential)
+        channels.append(KroneckerChannel(model, one, pair, two[potential]))
+    return tuple(channels)
+
+
+def build_split(model: LatticeModel) -> FewBodySplit:
+    """The split of :func:`hamiltonian_terms`, carrying :func:`kronecker_channels`."""
+    h0, _, pots = hamiltonian_terms(model)
+    return FewBodySplit(h0=h0, potentials=tuple(pots), channels=kronecker_channels(model))
 
 
 def _lowest_eigh(h: np.ndarray, k: Optional[int], method: str) -> list[EigenResult]:

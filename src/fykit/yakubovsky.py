@@ -24,9 +24,11 @@ equations (H0 + Vγ − z) s_γ + Vγ Σ_{β≠γ} s_β = (pair sum of the right
 side). The shifted four-body solve uses that reduction: it solves for the
 pair sums through H − z and H0 − z, then recovers each chain component from
 its own channel H0 + Vα, so nothing larger than the model dimension d is
-factored. The flattened 18-block operator is assembled only for products,
-Rayleigh quotients and the post-hoc residual, so the check stays
-independent of the reduced solve.
+solved. On a lattice only H − z is factored: H0 and every channel are
+Kronecker sums, diagonalized once per model by small dense eigensolves
+(:class:`fykit.lattice.KroneckerChannel`). The flattened 18-block operator
+is assembled only for products, Rayleigh quotients and the post-hoc
+residual, so the check stays independent of the reduced solve.
 
 For four identical particles the components are pairwise related by the
 exact lattice permutation operators; the checks here measure that transport
@@ -47,10 +49,6 @@ from .blockops import (
     EigenResult,
     Operator,
     _Resolvent,
-    _shifted_factor,
-    _solver_matrix,
-    dense_eigenvalues,
-    dense_limit,
     shift_invert_eigenpair,  # noqa: F401  (perfbench's hook test rebinds it here)
     shift_invert_retry,
 )
@@ -67,6 +65,7 @@ from .errors import (
     InvalidInputError,
     SingularMatrixError,
     SpuriousRootWarning,
+    TooLargeError,
 )
 from .faddeev import (
     FaddeevComponents,
@@ -287,29 +286,18 @@ def yakubovsky_residual(sys: YakubovskySystem, comps: YakubovskyComponents) -> n
     return out
 
 
-def _is_hermitian(op: Operator) -> bool:
-    m = op.to_sparse()
-    return (m - m.conj().T).count_nonzero() == 0
-
-
-def _channel_spectra(sys: YakubovskySystem) -> list[np.ndarray]:
-    split = sys.split
-    hermitian = all(_is_hermitian(op) for op in (split.h0, *split.potentials))
-    spectra = [dense_eigenvalues(split.h0, hermitian=hermitian)]
-    for v in split.potentials:
-        spectra.append(dense_eigenvalues(split.h0 + v, hermitian=hermitian))
-    return spectra
-
-
 class _PairSumFactor:
     """(A − z)⁻¹ for the flattened 18-block operator A, through the pair sums.
 
     Solving (A − z) x = b: the pair sums s = S x solve the 6-block Faddeev
     system (F − z) s = S b (S sums the chain blocks of each pair), solved
     through H − z and H0 − z; then x_{aα} = (H0 + Vα − z)⁻¹ (b_{aα} − Vα
-    Σ_{(β≠α)⊂a} s_β). Every step is exact and factors nothing larger than d,
-    so A − z is singular exactly when H − z, H0 − z or a channel is, and that
-    factorization raises :class:`ShiftSingularError`.
+    Σ_{(β≠α)⊂a} s_β). Every step is exact and works on nothing larger than
+    d: H − z is factored, and H0 − z and the channels go through
+    :meth:`FewBodySplit.channel_solver`, which diagonalizes them through
+    their Kronecker structure for a lattice split and factors them otherwise.
+    So A − z is singular exactly when H − z, H0 − z or a channel is, and that
+    step raises :class:`ShiftSingularError`.
     """
 
     def __init__(self, sys: YakubovskySystem, z):
@@ -322,9 +310,7 @@ class _PairSumFactor:
             for c in chains
         ]
         self.faddeev = _FaddeevShiftedFactor(split, z)
-        self.channels = [
-            _shifted_factor(_solver_matrix(split.h0 + v), None, z) for v in split.potentials
-        ]
+        self.channels = [split.channel_solver(z, part) for part in range(split.n)]
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         blocks = np.asarray(b).reshape(len(self.chain_others), -1)
@@ -350,25 +336,30 @@ def solve_fourbody_ground_state(
     """Shift-invert solve of the flattened 18-block operator from ``target``.
 
     Each shifted solve goes through the six Faddeev pair sums
-    (:class:`_PairSumFactor`), so nothing larger than the model dimension d
-    is factored; the 18-block flatten (sparse for lattice models) serves
-    only the products and the post-hoc residual. ``seed`` fixes the start
-    vector. The returned eigenvalue is checked against the unperturbed and
-    channel spectra: the enlarged operator carries auxiliary spectrum there,
-    and landing within 1e−6 of it triggers a :class:`SpuriousRootWarning`
-    (the auxiliary set of the 18-block operator is measured, not given by a
-    theorem, so this is a warning rather than an error). A singular start
-    shift is nudged by :func:`shift_invert_retry`.
+    (:class:`_PairSumFactor`): only H − z is factored, and H0 − z and the
+    six channels H0 + Vα − z are solved through the split's Kronecker
+    channels when it carries them (a lattice split, from
+    :func:`fykit.lattice.build_split`) and by LU otherwise. The 18-block
+    flatten (sparse for lattice models) serves only the products and the
+    post-hoc residual. ``seed`` fixes the start vector. The returned
+    eigenvalue is checked against the unperturbed and channel spectra: the
+    enlarged operator carries auxiliary spectrum there, and landing within
+    1e−6 of it triggers a :class:`SpuriousRootWarning` (the auxiliary set
+    of the 18-block operator is measured, not given by a theorem, so this is
+    a warning rather than an error). A split with Kronecker channels is
+    checked at every size; one without is checked by dense eigenvalues, and
+    only within :func:`~fykit.blockops.dense_limit`. A singular start shift is nudged by
+    :func:`shift_invert_retry`.
     """
     flat = assemble_yakubovsky_operator(sys).flatten()
     factor = functools.partial(_PairSumFactor, sys)
     result = shift_invert_retry(
         flat, target, tol=tol, max_iter=max_iter, seed=seed, shifted_factor=factor
     )
-    if sys.dim <= dense_limit():
-        z = result.value
-        for spec in _channel_spectra(sys):
-            nearest = float(np.min(np.abs(spec - z)))
+    z = result.value
+    try:
+        for part in (None, *range(sys.split.n)):
+            nearest = float(np.min(np.abs(sys.split.channel_spectrum(part) - z)))
             if nearest <= _SPURIOUS_WINDOW:
                 warnings.warn(
                     f"eigenvalue {z} lies within {nearest:.2e} of an unperturbed or "
@@ -377,6 +368,8 @@ def solve_fourbody_ground_state(
                     stacklevel=2,
                 )
                 break
+    except TooLargeError:
+        pass  # no channels, and too large for dense eigenvalues: the check is skipped
     return result
 
 

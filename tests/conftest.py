@@ -3,8 +3,7 @@
 import pytest
 from hypothesis import strategies as st
 
-from fykit.faddeev import FewBodySplit
-from fykit.lattice import LatticeModel, PairPotential, hamiltonian_terms
+from fykit.lattice import LatticeModel, PairPotential, build_split
 
 _DEPTH = st.floats(min_value=-10.0, max_value=10.0)
 # every pair-potential kind, for the hypothesis model strategies
@@ -55,14 +54,12 @@ def tiny4():
 
 @pytest.fixture(scope="session")
 def tiny3_split(tiny3):
-    h0, pairs, pots = hamiltonian_terms(tiny3)
-    return FewBodySplit(h0=h0, potentials=tuple(pots)), pairs
+    return build_split(tiny3), tiny3.pairs()
 
 
 @pytest.fixture(scope="session")
 def tiny4_split(tiny4):
-    h0, pairs, pots = hamiltonian_terms(tiny4)
-    return FewBodySplit(h0=h0, potentials=tuple(pots)), pairs
+    return build_split(tiny4), tiny4.pairs()
 
 
 def random_symmetric(rng, dim):

@@ -150,22 +150,6 @@ def test_solve_hardcore3_matches_restricted_oracle(tiny3):
         assert result.restricted_residual <= 1e-8
 
 
-def test_solve_hardcore3_holds_one_dense_copy():
-    # the flattened A plus the one working copy its LU factors in place, and
-    # little else: B stays diagonal and flatten makes no per-block temporaries
-    model = LatticeModel(N=3, L=8, potential=PairPotential("gaussian", (-4.0, 1.0)),
-                         core_radius=1)
-    n = 3 * model.dimension
-    tracemalloc.start()
-    try:
-        result = solve_hardcore3(model)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert result.physical
-    assert peak < 2.5 * n * n * 8
-
-
 @pytest.mark.parametrize("core", [None, 1])
 def test_solve_hardcore3_factors_the_sparse_pencil(monkeypatch, core):
     # each shift factors H − z on the unconstrained sites and H0 − z, both

@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import given, settings
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from conftest import POTENTIALS
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fykit.blockops import dense_eigenvalues
-from fykit.errors import InvalidInputError, TooLargeError
+from fykit.errors import InvalidInputError, ShiftSingularError, TooLargeError
 from fykit.combinatorics import Pair, all_permutations
 from fykit.lattice import (
     LatticeModel,
@@ -20,6 +23,7 @@ from fykit.lattice import (
     dense_oracle_spectrum,
     h0_spectrum,
     hamiltonian_terms,
+    kronecker_channels,
     separations,
 )
 
@@ -143,6 +147,50 @@ def test_h0_spectrum_is_the_dense_spectrum(n, size, boundary, t):
     got = h0_spectrum(model)
     assert got.shape == want.shape
     assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
+
+
+@st.composite
+def channel_models(draw):
+    n = draw(st.integers(min_value=2, max_value=4))
+    L = draw(st.integers(min_value=2, max_value={2: 12, 3: 6, 4: 4}[n]))
+    overrides = st.fixed_dictionaries({(draw(st.integers(1, n - 1)), n): POTENTIALS})
+    return LatticeModel(
+        N=n,
+        L=L,
+        boundary=draw(st.sampled_from(["box", "ring"])),
+        t=draw(st.floats(min_value=0.1, max_value=2.0)),
+        potential=draw(POTENTIALS),
+        core_radius=draw(st.sampled_from([c for c in (None, 0, 1) if c is None or c < L])),
+        per_pair=draw(st.one_of(st.none(), overrides)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=channel_models(), data=st.data())
+def test_kronecker_channels_match_the_assembled_operators(model, data):
+    h0, _, pots = hamiltonian_terms(model)
+    channels = kronecker_channels(model)
+    assert len(channels) == 1 + len(pots)
+    d = model.dimension
+    columns = data.draw(st.sampled_from([(), (1,), (3,)]), label="columns")
+    b = np.random.default_rng(d).standard_normal((d,) + columns)
+    for channel, op in zip(channels, [h0] + [h0 + v for v in pots]):
+        want = sla.eigvalsh(op.materialize())
+        got = channel.spectrum()
+        assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
+        # a real shift off the spectrum, so both solves are well conditioned
+        z = data.draw(st.floats(min_value=want[0] - 2.0, max_value=want[-1] + 2.0), label="z")
+        assume(np.min(np.abs(want - z)) >= 1e-3 * (1.0 + np.max(np.abs(want))))
+        ref = spla.spsolve(sp.csc_matrix(op.to_sparse() - z * sp.identity(d)), b)
+        x = channel.solver(z).solve(b)
+        assert x.shape == b.shape
+        assert np.linalg.norm(x - np.reshape(ref, b.shape)) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_kronecker_channel_refuses_a_shift_on_its_spectrum(tiny3):
+    channel = kronecker_channels(tiny3)[1]
+    with pytest.raises(ShiftSingularError):
+        channel.solver(channel.spectrum()[3])
 
 
 def test_pair_potential_is_diagonal_and_symmetric_under_swap():

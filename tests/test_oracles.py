@@ -73,7 +73,7 @@ def _spy_on_eigh(monkeypatch):
     real = sla.eigh
 
     def spy(*args, **kwargs):
-        calls.append(kwargs.get("subset_by_index"))
+        calls.append((args[0].shape[0], kwargs.get("subset_by_index")))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(sla, "eigh", spy)
@@ -191,7 +191,8 @@ def test_auto_target_diagonalizes_only_the_ground_state(monkeypatch, capsys, tmp
     eigh_calls = _spy_on_eigh(monkeypatch)
     eigsh_calls = _spy_on_eigsh(monkeypatch)
     line = _auto_target_line(capsys, cfg, "1")
-    assert eigh_calls == []
+    # only the one- and two-particle channel factors (L = 6, L² = 36), never H
+    assert eigh_calls == [(6, None), (36, None)]
     assert eigsh_calls == [(1, 20)]
     assert len(line) == 1 and line[0].startswith("# auto target from lanczos oracle: ")
     # the oracle's start vector is its own, not the solver's seed

@@ -1,5 +1,7 @@
 """Shifted solves through H − z and H0 − z, and the four-body pair-sum reduction."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -14,7 +16,15 @@ from fykit.faddeev import (
     assemble_faddeev_operator,
     random_split,
 )
-from fykit.lattice import LatticeModel, PairPotential, dense_oracle_spectrum, hamiltonian_terms
+from fykit.errors import SpuriousRootWarning
+from fykit.hardcore import ground_state
+from fykit.lattice import (
+    LatticeModel,
+    PairPotential,
+    build_split,
+    dense_oracle_spectrum,
+    hamiltonian_terms,
+)
 from fykit.yakubovsky import (
     YakubovskySystem,
     _PairSumFactor,
@@ -110,6 +120,21 @@ def test_shifted_solves_factor_nothing_larger_than_the_model(
     solve_fourbody_ground_state(YakubovskySystem(split=split), target=-28.6)
     assert factored_dims
     assert max(factored_dims) <= split.dim
+
+
+def test_solve4_at_l6_factors_only_h_minus_z_once_per_shift(factored_dims):
+    # N=4 L=6 on-site −8 from the Lanczos auto target: every channel solve and
+    # the auxiliary-root check go through the Kronecker channels
+    model = LatticeModel(N=4, L=6, potential=PairPotential.onsite(-8.0))
+    sysy = YakubovskySystem(split=build_split(model))
+    target = ground_state(model).value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", SpuriousRootWarning)
+        res = solve_fourbody_ground_state(sysy, target)
+    assert factored_dims == [model.dimension] * res.factorizations
+    e0 = dense_oracle_spectrum(model, 1)[0].value
+    assert abs(res.value - e0) <= 1e-8
+    assert res.residual_norm <= 1e-10
 
 
 @pytest.fixture(scope="module")

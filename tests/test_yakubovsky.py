@@ -1,5 +1,7 @@
 """Chain components: construction, residuals, chain sums, solver, symmetry."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -9,7 +11,7 @@ from fykit.blockops import dense_eigenvalues
 from fykit.combinatorics import all_permutations
 from fykit.errors import InvalidInputError, SpuriousRootWarning
 from fykit.faddeev import faddeev_components, random_split
-from fykit.lattice import build_permutation, dense_oracle_spectrum
+from fykit.lattice import build_permutation, dense_oracle_spectrum, h0_spectrum
 from fykit.yakubovsky import (
     YakubovskyComponents,
     YakubovskySystem,
@@ -124,6 +126,29 @@ def test_solver_warns_near_unperturbed_spectrum(tiny4_system):
     lam0 = np.real(dense_eigenvalues(tiny4_system.split.h0, hermitian=True))
     with pytest.warns(SpuriousRootWarning):
         solve_fourbody_ground_state(tiny4_system, target=lam0[0] + 1e-9, tol=1e-10)
+
+
+def test_auxiliary_root_check_ignores_the_dense_limit_on_lattice_splits(
+    monkeypatch, tiny4, tiny4_system
+):
+    # the Kronecker channels give every channel spectrum without a dense eigensolver
+    monkeypatch.setenv("FY_DENSE_LIMIT", "100")
+    assert tiny4_system.dim > 100
+    with pytest.warns(SpuriousRootWarning):
+        solve_fourbody_ground_state(tiny4_system, target=h0_spectrum(tiny4)[0] + 1e-9)
+
+
+def test_auxiliary_root_check_skips_splits_without_channels_beyond_the_dense_limit(
+    monkeypatch,
+):
+    sysy = YakubovskySystem(split=random_split(6, 5, seed=0, hermitian=True))
+    target = sla.eigvalsh(sysy.split.h0.materialize())[0] + 1e-9
+    with pytest.warns(SpuriousRootWarning):
+        solve_fourbody_ground_state(sysy, target=target)
+    monkeypatch.setenv("FY_DENSE_LIMIT", "4")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", SpuriousRootWarning)
+        solve_fourbody_ground_state(sysy, target=target)
 
 
 def test_component_symmetry_transport(tiny4, tiny4_ground, tiny4_system):
