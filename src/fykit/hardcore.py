@@ -324,9 +324,10 @@ def solve_hardcore3(
     reference, so a core no configuration survives raises
     :class:`InvalidInputError`.
 
-    Each shift z is factored through H − z restricted to the unconstrained
-    sites and H0 − z (:class:`~fykit.faddeev._FaddeevShiftedFactor`), never
-    the 3d-dimensional pencil, except within ``H0_SPECTRUM_GUARD`` of σ(H0),
+    Each shift z factors H − z restricted to the unconstrained sites and
+    solves H0 − z through the split's Kronecker channel
+    (:class:`~fykit.faddeev._FaddeevShiftedFactor`), never the
+    3d-dimensional pencil, except within ``H0_SPECTRUM_GUARD`` of σ(H0),
     where A − zB is factored whole.
     """
     pencil, split, owner = _pencil_and_split(model, surface_only)

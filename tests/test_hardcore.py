@@ -152,9 +152,9 @@ def test_solve_hardcore3_matches_restricted_oracle(tiny3):
 
 @pytest.mark.parametrize("core", [None, 1])
 def test_solve_hardcore3_factors_the_sparse_pencil(monkeypatch, core):
-    # each shift factors H − z on the unconstrained sites and H0 − z, both
-    # sparse and at most d wide, so neither the 3d pencil nor an n×n array
-    # is ever factored
+    # each shift factors only H − z on the unconstrained sites, sparse and at
+    # most d wide (H0 − z goes through the Kronecker channel), so neither the
+    # 3d pencil nor an n×n array is ever factored
     calls, factored = [], []
     real, real_splu = scipy.linalg.lu_factor, blockops._splu
 
