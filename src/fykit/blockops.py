@@ -15,9 +15,11 @@ Dense work is capped by :func:`dense_limit` (default 4096). The
 ``FY_DENSE_LIMIT`` environment variable is the one way to change the cap; no
 config file sets it. Beyond the cap only the shift-invert path is available.
 Flattening goes dense only for a grid that holds a dense block and fits the
-cap; a grid of sparse and diagonal blocks flattens sparse at any size. The
-lattice solvers factor only H − z (d-dimensional, by SuperLU), solve H0 − z
-and the channels H0 + Vα − z through their Kronecker diagonalizations
+cap; a grid of sparse and diagonal blocks flattens sparse at any size, from
+one set of COO triplets per distinct block object (a coupled grid repeats a
+few operators in many slots). The lattice solvers factor only H − z
+(d-dimensional, by SuperLU), solve H0 − z and the channels H0 + Vα − z
+through their Kronecker diagonalizations
 (:class:`fykit.lattice.KroneckerChannel`) and use the flattens for products;
 the hard-core pencil A − zB itself is factored by SuperLU only next to σ(H0).
 
@@ -270,6 +272,8 @@ class BlockOperator:
         Every other grid, and every grid beyond the cap, is sparse: the
         blocks' COO triplets at their block offsets, in an explicit
         (m·d)-square shape, so empty block rows and columns keep their place.
+        Each distinct block object gives its triplets once; a diagonal
+        block's are its nonzero entries, the ones ``to_sparse`` keeps.
         """
         d, n = self.block_dim, self.dim
         present = [(i, j, e) for i, row in enumerate(self.entries)
@@ -292,10 +296,18 @@ class BlockOperator:
                 else:
                     blk[...] = e._data
             return Operator.dense(out)
-        coos = [(i, j, e.to_sparse().tocoo()) for i, j, e in present]
-        rows = np.concatenate([i * d + c.row for i, _, c in coos])
-        cols = np.concatenate([j * d + c.col for _, j, c in coos])
-        vals = np.concatenate([c.data for _, _, c in coos])
+        triplets: dict = {}  # id(block) -> (rows, cols, values); the grid keeps every block alive
+        for _, _, e in present:
+            if id(e) not in triplets:
+                if e.kind == "diagonal":
+                    nz = np.flatnonzero(e._data)
+                    triplets[id(e)] = (nz, nz, e._data[nz])
+                else:
+                    c = e.to_sparse().tocoo()
+                    triplets[id(e)] = (c.row, c.col, c.data)
+        rows = np.concatenate([i * d + triplets[id(e)][0] for i, _, e in present])
+        cols = np.concatenate([j * d + triplets[id(e)][1] for _, j, e in present])
+        vals = np.concatenate([triplets[id(e)][2] for _, _, e in present])
         return Operator.sparse(sp.csr_matrix((vals, (rows, cols)), shape=(n, n), dtype=dtype))
 
     def block_rows(self, x: np.ndarray) -> list[np.ndarray]:

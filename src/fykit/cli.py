@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -55,9 +56,9 @@ from .faddeev import (
     spectrum_union_check,
 )
 from .hardcore import (
+    _ground_state,
     assemble_hardcore3_pencil,
     assemble_hardcore4_constraints,
-    ground_state,
     restricted_oracle,
     restricted_space,
     solve_hardcore3,
@@ -457,7 +458,7 @@ def cmd_solve3(args, out: _Out, cfg: RunConfig) -> int:
     flat = assemble_faddeev_operator(split).flatten()
     _maybe_dump(args, flat)
     if cfg.target is None:
-        target = ground_state(model).value
+        target = _ground_state(model, split.total().to_sparse()).value
         out.comment(f"auto target from lanczos oracle: {_g(target)}")
     else:
         target = cfg.target
@@ -501,7 +502,7 @@ def cmd_solve4(args, out: _Out, cfg: RunConfig) -> int:
     if args.dump_matrix:
         _maybe_dump(args, assemble_yakubovsky_operator(sysy).flatten())
     if cfg.target is None:
-        target = ground_state(model).value
+        target = _ground_state(model, split.total().to_sparse()).value
         out.comment(f"auto target from lanczos oracle: {_g(target)}")
     else:
         target = cfg.target
@@ -672,6 +673,7 @@ def cmd_hardcore4_check(args, out: _Out, cfg: RunConfig) -> int:
 # argument parsing and dispatch
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every main call
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["table", "machine"], default=None,

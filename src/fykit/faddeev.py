@@ -77,7 +77,8 @@ class FewBodySplit:
     part α, each with ``spectrum()`` and ``solver(z)``, as
     :func:`fykit.lattice.build_split` builds them. :meth:`channel_solver` and
     :meth:`channel_spectrum` use them when present, and otherwise factor or
-    diagonalize the assembled operator.
+    diagonalize the assembled operator. :meth:`total` is assembled once and
+    lives as long as the split; ``dataclasses.replace`` makes one that sums anew.
     """
 
     h0: Operator
@@ -134,10 +135,13 @@ class FewBodySplit:
         return self.h0.dim
 
     def total(self) -> Operator:
-        h = self.h0
-        for v in self.potentials:
-            h = h + v
-        return h
+        """H = H0 + Σα Vα, summed in part order on the first call and kept."""
+        if "_total" not in self.__dict__:
+            h = self.h0
+            for v in self.potentials:
+                h = h + v
+            self.__dict__["_total"] = h  # frozen: bypass __setattr__; not a field
+        return self.__dict__["_total"]
 
     def potential_sum_apply(self, x: np.ndarray) -> np.ndarray:
         out = self.potentials[0].apply(x)
@@ -240,13 +244,14 @@ def assemble_coupled(split: FewBodySplit, row_parts: Sequence[int], mask) -> Blo
     Row i is the equation of a component driven by part p = ``row_parts[i]``
     of the split: H0 + Vp on the diagonal and Vp in every column j with
     ``mask[i, j]``; every other block is an exact zero. The diagonal of
-    ``mask`` is ignored.
+    ``mask`` is ignored. Each H0 + Vp is built once and shared by every row
+    driven by p.
     """
+    channels = {p: split.h0 + split.potentials[p] for p in set(row_parts)}
     grid: list[list[Optional[Operator]]] = []
     for i, p in enumerate(row_parts):
-        v = split.potentials[p]
-        row = [v if coupled else None for coupled in mask[i]]
-        row[i] = split.h0 + v
+        row = [split.potentials[p] if coupled else None for coupled in mask[i]]
+        row[i] = channels[p]
         grid.append(row)
     return BlockOperator(grid, block_dim=split.dim)
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fykit.blockops import (
@@ -145,6 +145,54 @@ def test_flatten_is_bytewise_the_block_of_materialized_blocks(m, d, seed, kinds,
     got = flat.materialize()
     assert got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
+
+
+def _diagonal_with_zeros(rng, d):
+    """A diagonal block holding exact 0.0 and -0.0, which a sparse flatten drops."""
+    vals = rng.standard_normal(d)
+    vals[rng.random(d) < 0.3] = 0.0
+    vals[rng.random(d) < 0.3] = -0.0
+    return Operator.diagonal(vals)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(min_value=1, max_value=3),
+    d=st.integers(min_value=1, max_value=5),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    pool_kinds=st.lists(st.sampled_from(["dense", "diagonal", "sparse", "complex"]),
+                        min_size=1, max_size=3),
+    slots=st.lists(st.one_of(st.none(), st.integers(min_value=0, max_value=2)),
+                   min_size=9, max_size=9),
+)
+def test_sparse_flatten_keeps_the_csr_layout_of_per_block_triplets(m, d, seed, pool_kinds,
+                                                                   slots):
+    # a few operator objects, each reused in several slots
+    rng = np.random.default_rng(seed)
+    pool = [_diagonal_with_zeros(rng, d) if kind == "diagonal" else _random_block(rng, kind, d)
+            for kind in pool_kinds]
+    grid = [[None if slots[i * 3 + j] is None else pool[slots[i * 3 + j] % len(pool)]
+             for j in range(m)] for i in range(m)]
+    present = [(i, j, e) for i, row in enumerate(grid) for j, e in enumerate(row) if e is not None]
+    assume(m * d > 1 and present
+           and not all(i == j and e.kind == "diagonal" for i, j, e in present))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("FY_DENSE_LIMIT", str(max(1, m * d - 1)))  # below the flatten: sparse
+        flat = BlockOperator(grid, block_dim=d).flatten()
+    assert flat.kind == "sparse"
+    # the layout as built block by block: each block's own to_sparse().tocoo() triplets
+    coos = [(i, j, e.to_sparse().tocoo()) for i, j, e in present]
+    dtype = np.result_type(np.float64, *(e.to_sparse().dtype for _, _, e in present))
+    want = sp.csr_matrix(
+        (np.concatenate([c.data for _, _, c in coos]),
+         (np.concatenate([i * d + c.row for i, _, c in coos]),
+          np.concatenate([j * d + c.col for _, j, c in coos]))),
+        shape=(m * d, m * d), dtype=dtype,
+    )
+    got = flat.to_sparse()
+    for name in ("indptr", "indices", "data"):
+        assert getattr(got, name).dtype == getattr(want, name).dtype
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 def test_block_rows_splits_flat_vectors():

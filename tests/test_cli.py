@@ -3,13 +3,16 @@
 import json
 import subprocess
 import sys
+from importlib import resources
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from fykit import cli, hardcore, lattice
 from fykit.cli import _ALLOWED_KEYS, RunConfig, load_config
 from fykit.errors import ConfigError
+from fykit.faddeev import FewBodySplit
 
 CLI = [sys.executable, "-m", "fykit.cli"]
 
@@ -257,3 +260,85 @@ def test_repeat_runs_are_byte_identical(args):
     assert first.returncode == second.returncode
     assert first.stdout == second.stdout
     assert first.stderr == second.stderr
+
+
+def _preset_with_target(tmp_path, name, target):
+    text = resources.files("fykit").joinpath("configs", f"{name}.cfg").read_text()
+    lines = [f"target = {target}" if line.startswith("target = ") else line
+             for line in text.splitlines()]
+    path = tmp_path / f"{name}-{target}.cfg"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def _spy_on_assembly(monkeypatch):
+    """Record every H that FewBodySplit.total returns, and every assembly of H's terms."""
+    seen = {"totals": [], "terms": 0, "hamiltonians": 0}
+    real_total, real_terms = FewBodySplit.total, lattice.hamiltonian_terms
+
+    def total(self):
+        seen["totals"].append(real_total(self))
+        return seen["totals"][-1]
+
+    def terms(model):
+        seen["terms"] += 1
+        return real_terms(model)
+
+    def hamiltonian(model):
+        seen["hamiltonians"] += 1
+        return lattice.build_hamiltonian(model)
+
+    monkeypatch.setattr(FewBodySplit, "total", total)
+    monkeypatch.setattr(lattice, "hamiltonian_terms", terms)
+    monkeypatch.setattr(hardcore, "build_hamiltonian", hamiltonian)
+    return seen
+
+
+@pytest.mark.parametrize("target", ["-28.6", "auto"])
+def test_solve4_sums_h_once_per_run(monkeypatch, capsys, tmp_path, target):
+    cfg = _preset_with_target(tmp_path, "tiny4", target)
+    seen = _spy_on_assembly(monkeypatch)
+    assert cli.main(["solve4", "--config", cfg]) == 0
+    capsys.readouterr()
+    # every shift, the chain-sum check and an auto target all read one H
+    assert len(seen["totals"]) >= 3
+    assert len({id(h) for h in seen["totals"]}) == 1
+    assert seen["terms"] == 1 and seen["hamiltonians"] == 0
+
+
+def test_solve3_auto_target_builds_no_second_hamiltonian(monkeypatch, capsys, tmp_path):
+    cfg = _preset_with_target(tmp_path, "tiny3", "auto")
+    seen = _spy_on_assembly(monkeypatch)
+    assert cli.main(["solve3", "--config", cfg]) == 0
+    assert "# auto target from lanczos oracle: " in capsys.readouterr().out
+    assert seen["terms"] == 1 and seen["hamiltonians"] == 0
+    assert len({id(h) for h in seen["totals"]}) == 1
+
+
+def _main_runs(capsys, argvs):
+    runs = []
+    for argv in argvs:
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:  # usage errors and --help exit from argparse
+            rc = ("exit", exc.code)
+        captured = capsys.readouterr()
+        runs.append((rc, captured.out, captured.err))
+    return runs
+
+
+def test_one_parser_serves_every_main_call(monkeypatch, capsys):
+    argvs = [
+        ["chains", "--n", "3"],
+        ["solve3", "--seed", "x"],  # usage error: no --config, bad --seed
+        ["yak-pattern", "--format", "machine"],
+        ["solve4", "--help"],
+        ["oracle", "--config", "tiny3", "--k", "2"],
+    ]
+    cached = _main_runs(capsys, argvs)
+    assert cli._build_parser() is cli._build_parser()
+    assert [rc for rc, _, _ in cached] == [0, ("exit", 2), 0, ("exit", 0), 0]
+    assert "usage: fy solve3" in cached[1][2]
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    assert cli._build_parser() is not cli._build_parser()
+    assert _main_runs(capsys, argvs) == cached

@@ -2,7 +2,10 @@
 
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fykit.combinatorics import (
     Chain,
@@ -19,6 +22,8 @@ from fykit.combinatorics import (
     verify_chain_identity,
 )
 from fykit.errors import InvalidInputError
+from fykit.faddeev import assemble_faddeev_operator, random_split
+from fykit.yakubovsky import coupling_pattern
 
 
 def test_pair_sorts_members_and_validates():
@@ -135,6 +140,26 @@ def test_relabeling_permutes_pairs():
     swap = (2, 1, 3, 4)
     assert permute_pair(swap, Pair.of(1, 3)) == Pair.of(2, 3)
     assert permute_pair(swap, Pair.of(1, 2)) == Pair.of(1, 2)
+
+
+@given(perm=st.permutations(range(1, 5)))
+def test_relabeling_preserves_the_four_body_coupling_pattern(perm):
+    chains = enumerate_chains(4)
+    image = [chains.index(permute_chain(perm, c)) for c in chains]
+    assert sorted(image) == list(range(18))  # a bijection on the chains
+    mask = coupling_pattern(chains)
+    assert np.array_equal(mask[np.ix_(image, image)], mask)
+
+
+@given(perm=st.permutations(range(1, 4)))
+def test_relabeling_preserves_the_three_body_faddeev_mask(perm):
+    pairs = enumerate_pairs(3)
+    image = [pairs.index(permute_pair(perm, p)) for p in pairs]
+    assert sorted(image) == list(range(3))
+    block = assemble_faddeev_operator(random_split(3, 2, seed=0))
+    mask = np.array([[e is not None for e in row] for row in block.entries])
+    assert mask.all()
+    assert np.array_equal(mask[np.ix_(image, image)], mask)
 
 
 def test_chain_orbit_structure():

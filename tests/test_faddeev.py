@@ -1,5 +1,7 @@
 """Component construction, coupled-equation residuals, spectrum identity."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -54,6 +56,25 @@ def test_split_validates_inputs():
             h0=Operator.identity(3),
             potentials=(Operator.identity(3), Operator.identity(4)),
         )
+
+
+def test_split_total_is_assembled_once_per_split():
+    def summed(s):
+        out = s.h0.materialize()
+        for v in s.potentials:
+            out = out + v.materialize()
+        return out
+
+    split = random_split(3, 5, seed=2)
+    h = split.total()
+    assert split.total() is h
+    assert np.array_equal(h.materialize(), summed(split))
+    # a replaced split sums its own parts, not the H cached on the original
+    other = dataclasses.replace(split, potentials=(split.potentials[0] * 2.0,) + split.potentials[1:])
+    assert other.total() is not h
+    assert np.array_equal(other.total().materialize(), summed(other))
+    assert not np.array_equal(other.total().materialize(), h.materialize())
+    assert split.total() is h
 
 
 def test_components_sum_to_eigenvector():
