@@ -247,11 +247,11 @@ def assemble_coupled(split: FewBodySplit, row_parts: Sequence[int], mask) -> Blo
     ``mask`` is ignored. Each H0 + Vp is built once and shared by every row
     driven by p.
     """
-    channels = {p: split.h0 + split.potentials[p] for p in set(row_parts)}
+    diagonal = {p: split.h0 + split.potentials[p] for p in set(row_parts)}
     grid: list[list[Optional[Operator]]] = []
     for i, p in enumerate(row_parts):
         row = [split.potentials[p] if coupled else None for coupled in mask[i]]
-        row[i] = channels[p]
+        row[i] = diagonal[p]
         grid.append(row)
     return BlockOperator(grid, block_dim=split.dim)
 

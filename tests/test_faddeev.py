@@ -70,7 +70,8 @@ def test_split_total_is_assembled_once_per_split():
     assert split.total() is h
     assert np.array_equal(h.materialize(), summed(split))
     # a replaced split sums its own parts, not the H cached on the original
-    other = dataclasses.replace(split, potentials=(split.potentials[0] * 2.0,) + split.potentials[1:])
+    pots = (split.potentials[0] * 2.0,) + split.potentials[1:]
+    other = dataclasses.replace(split, potentials=pots)
     assert other.total() is not h
     assert np.array_equal(other.total().materialize(), summed(other))
     assert not np.array_equal(other.total().materialize(), h.materialize())

@@ -75,13 +75,14 @@ def test_assembled_operator_matches_pattern(tiny4_system):
 
 def test_assembled_operator_builds_each_channel_once(tiny4_system):
     block = assemble_yakubovsky_operator(tiny4_system)
-    diagonal = [block.entries[i][i] for i in range(18)]
-    assert len({id(e) for e in diagonal}) == 6
-    pairs = tiny4_system.pairs
-    for chain, entry in zip(tiny4_system.chains, diagonal):
-        assert entry is diagonal[[c.pair for c in tiny4_system.chains].index(chain.pair)]
-        want = tiny4_system.split.h0 + tiny4_system.split.potentials[pairs.index(chain.pair)]
+    split, pairs = tiny4_system.split, tiny4_system.pairs
+    by_pair = {}
+    for i, chain in enumerate(tiny4_system.chains):
+        entry = block.entries[i][i]
+        assert by_pair.setdefault(chain.pair, entry) is entry  # one object per pair
+        want = split.h0 + split.potentials[pairs.index(chain.pair)]
         assert np.array_equal(entry.materialize(), want.materialize())
+    assert len({id(e) for e in by_pair.values()}) == 6
 
 
 def test_chain_components_solve_coupled_equations(tiny4_ground, tiny4_system):
