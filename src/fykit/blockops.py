@@ -1,27 +1,28 @@
 """Operators, block operators, and the dense/iterative eigen and solve kernels.
 
 Every other module builds on the two containers here. :class:`Operator` wraps
-one square linear map in whichever of three representations is cheapest
-(dense array, diagonal vector or sparse matrix). :class:`BlockOperator` is an
-m-by-m grid of same-sized optional blocks whose :meth:`~BlockOperator.flatten`
-produces the single big operator the eigen kernels consume.
+one square linear map as a diagonal vector or a sparse (CSR) matrix.
+:class:`BlockOperator` is an m-by-m grid of same-sized optional blocks whose
+:meth:`~BlockOperator.flatten` produces the single big operator the eigen
+kernels consume.
 
 All scalars are double precision. Eigenvalues may be complex: the coupled
 component operators assembled downstream are non-Hermitian even when the
 underlying Hamiltonian is Hermitian, so the dense kernel is a general
 (Hessenberg + QR) routine, not a symmetric one.
 
-Dense work is capped by :func:`dense_limit` (default 4096). The
-``FY_DENSE_LIMIT`` environment variable is the one way to change the cap; no
-config file sets it. Beyond the cap only the shift-invert path is available.
-Flattening goes dense only for a grid that holds a dense block and fits the
-cap; a grid of sparse and diagonal blocks flattens sparse at any size, from
+Every factorization, of a lattice operator or of a small random split, is a
+SuperLU one (:func:`_splu`). Dense eigensolvers are capped by
+:func:`dense_limit` (default 4096). The ``FY_DENSE_LIMIT`` environment
+variable is the one way to change the cap; no config file sets it. Beyond the
+cap only the shift-invert path is available. A grid flattens diagonal when it
+holds diagonal blocks on its block diagonal alone, and sparse otherwise, from
 one set of COO triplets per distinct block object (a coupled grid repeats a
 few operators in many slots). The lattice solvers factor only H − z
-(d-dimensional, by SuperLU), solve H0 − z and the channels H0 + Vα − z
-through their Kronecker diagonalizations
-(:class:`fykit.lattice.KroneckerChannel`) and use the flattens for products;
-the hard-core pencil A − zB itself is factored by SuperLU only next to σ(H0).
+(d-dimensional), solve H0 − z and the channels H0 + Vα − z through their
+Kronecker diagonalizations (:class:`fykit.lattice.KroneckerChannel`) and use
+the flattens for products; the hard-core pencil A − zB itself is factored
+only next to σ(H0).
 
 Every shift-invert solve in the package goes through
 :func:`shift_invert_retry`, which retries a singular start shift with a
@@ -39,7 +40,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg import lapack
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -75,10 +75,11 @@ _MAX_FACTORIZATIONS = 12
 
 
 def dense_limit() -> int:
-    """Largest dimension the dense kernels accept.
+    """Largest dimension the dense eigensolvers, the oracles and ``--dump-matrix`` accept.
 
     Reads ``FY_DENSE_LIMIT`` from the environment so acceptance runs can
-    widen or shrink the budget without code changes.
+    widen or shrink the budget without code changes. No factorization and
+    no flatten reads it.
     """
     raw = os.environ.get("FY_DENSE_LIMIT")
     if raw is None:
@@ -102,18 +103,18 @@ def _as_2d_array(a) -> np.ndarray:
 
 
 class Operator:
-    """A square linear map with one of three storage kinds.
+    """A square linear map with one of two storage kinds.
 
-    Kinds: ``dense`` (2-D array), ``diagonal`` (1-D array of the diagonal),
-    ``sparse`` (scipy CSR). Every kind can be materialized. Instances are
-    immutable; arithmetic returns new operators and picks the cheapest
-    representation that can hold the result exactly.
+    Kinds: ``diagonal`` (1-D array of the diagonal) and ``sparse`` (scipy
+    CSR; a fully populated matrix is stored sparse too). Both kinds can be
+    materialized. Instances are immutable; arithmetic returns new operators,
+    diagonal when both operands are and sparse otherwise.
     """
 
     __slots__ = ("kind", "dim", "_data")
 
     def __init__(self, kind: str, dim: int, data):
-        if kind not in ("dense", "diagonal", "sparse"):
+        if kind not in ("diagonal", "sparse"):
             raise InvalidInputError(f"unknown operator kind {kind!r}")
         if dim < 1:
             raise InvalidInputError(f"operator dimension must be positive, got {dim}")
@@ -127,11 +128,6 @@ class Operator:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def dense(cls, a) -> "Operator":
-        arr = _as_2d_array(a)
-        return cls("dense", arr.shape[0], data=arr)
-
-    @classmethod
     def diagonal(cls, d) -> "Operator":
         vec = np.asarray(d)
         if vec.ndim != 1:
@@ -141,7 +137,12 @@ class Operator:
 
     @classmethod
     def sparse(cls, m) -> "Operator":
-        mat = sp.csr_matrix(m)
+        """From a scipy sparse matrix, or from a square numeric 2-D array.
+
+        Array input is stored as float64 or complex128; non-numeric (bool
+        included) or non-square arrays raise :class:`InvalidInputError`.
+        """
+        mat = sp.csr_matrix(m if sp.issparse(m) else _as_2d_array(m))
         if mat.shape[0] != mat.shape[1]:
             raise InvalidInputError(f"expected a square sparse matrix, got {mat.shape}")
         return cls("sparse", mat.shape[0], data=mat)
@@ -168,15 +169,11 @@ class Operator:
 
     def materialize(self) -> np.ndarray:
         """Dense square array equal to this operator."""
-        if self.kind == "dense":
-            return self._data.copy()
         if self.kind == "diagonal":
             return np.diag(self._data)
         return self._data.toarray()
 
     def to_sparse(self) -> sp.csr_matrix:
-        if self.kind == "dense":
-            return sp.csr_matrix(self._data)
         if self.kind == "diagonal":
             return sp.diags(self._data).tocsr()
         return self._data.copy()
@@ -197,9 +194,7 @@ class Operator:
         a, b = self, other
         if a.kind == "diagonal" and b.kind == "diagonal":
             return Operator.diagonal(a._data + sign * b._data)
-        if a.kind == "sparse" or b.kind == "sparse":
-            return Operator.sparse(a.to_sparse() + sign * b.to_sparse())
-        return Operator.dense(a.materialize() + sign * b.materialize())
+        return Operator.sparse(a.to_sparse() + sign * b.to_sparse())
 
     def __add__(self, other):
         return self._binary(other, 1.0)
@@ -213,8 +208,6 @@ class Operator:
     def __mul__(self, scalar):
         if not np.isscalar(scalar):
             return NotImplemented
-        if self.kind == "dense":
-            return Operator.dense(self._data * scalar)
         if self.kind == "diagonal":
             return Operator.diagonal(self._data * scalar)
         return Operator.sparse(self._data * scalar)
@@ -267,13 +260,11 @@ class BlockOperator:
         """The (m·d)-dimensional operator with this block layout, of the cheapest exact kind.
 
         Diagonal blocks on the block diagonal alone give a diagonal operator.
-        A grid holding at least one dense block is dense, each block written
-        straight into its slice, while m·d stays within :func:`dense_limit`.
-        Every other grid, and every grid beyond the cap, is sparse: the
-        blocks' COO triplets at their block offsets, in an explicit
-        (m·d)-square shape, so empty block rows and columns keep their place.
-        Each distinct block object gives its triplets once; a diagonal
-        block's are its nonzero entries, the ones ``to_sparse`` keeps.
+        Every other grid is sparse, at any size: the blocks' COO triplets at
+        their block offsets, in an explicit (m·d)-square shape, so empty
+        block rows and columns keep their place. Each distinct block object
+        gives its triplets once; a diagonal block's are its nonzero entries,
+        the ones ``to_sparse`` keeps.
         """
         d, n = self.block_dim, self.dim
         present = [(i, j, e) for i, row in enumerate(self.entries)
@@ -284,18 +275,6 @@ class BlockOperator:
             for i, _, e in present:
                 diag[i * d:(i + 1) * d] = e._data
             return Operator.diagonal(diag)
-        if any(e.kind == "dense" for _, _, e in present) and n <= dense_limit():
-            out = np.zeros((n, n), dtype=dtype)
-            for i, j, e in present:
-                blk = out[i * d:(i + 1) * d, j * d:(j + 1) * d]
-                if e.kind == "diagonal":
-                    blk[np.diag_indices(d)] = e._data
-                elif e.kind == "sparse":
-                    coo = e._data.tocoo()
-                    np.add.at(blk, (coo.row, coo.col), coo.data)
-                else:
-                    blk[...] = e._data
-            return Operator.dense(out)
         triplets: dict = {}  # id(block) -> (rows, cols, values); the grid keeps every block alive
         for _, _, e in present:
             if id(e) not in triplets:
@@ -345,8 +324,8 @@ class EigenResult:
 
 
 def _coerce_matrix(a) -> np.ndarray:
-    if isinstance(a, Operator):  # a dense operator's own array, not a copy
-        return a._data if a.kind == "dense" else a.materialize()
+    if isinstance(a, Operator):
+        return a.materialize()
     if sp.issparse(a):
         return a.toarray()
     return _as_2d_array(a)
@@ -378,7 +357,7 @@ def dense_eigenvalues(a, hermitian: bool = False) -> np.ndarray:
 
 
 def linear_solve(a, z, rhs) -> np.ndarray:
-    """Solve (A − z·I)·x = rhs by LU (sparse for a sparse A) with iterative refinement.
+    """Solve (A − z·I)·x = rhs by a SuperLU factorization with iterative refinement.
 
     Refinement repeats until the true residual is at or below 1e-12 relative
     to ‖rhs‖ or stops improving; a system that cannot reach that target is
@@ -389,56 +368,38 @@ def linear_solve(a, z, rhs) -> np.ndarray:
 
 
 class _Resolvent:
-    """(A − z·I)⁻¹ from one LU, shared by every right-hand side.
+    """(A − z·I)⁻¹ from one SuperLU factorization, shared by every right-hand side.
 
-    A sparse or diagonal A is factored by SuperLU, a dense one by LAPACK. The
+    A may be an :class:`Operator`, a scipy sparse matrix or a 2-D array. The
     LU is computed on the first nonzero right-hand side (or condition
     estimate) and reused; each solve refines its own residual and raises
     :class:`SingularMatrixError` exactly as :func:`linear_solve` does.
     """
 
     def __init__(self, a, z):
-        mat = _solver_matrix(a)  # shares a dense input, so only that one is copied
+        mat = _solver_matrix(a)
         dtype = np.result_type(mat.dtype, type(z))
-        if sp.issparse(mat):
-            self.m = sp.csc_matrix(mat - z * sp.identity(mat.shape[0]), dtype=dtype)
-        else:
-            self.m = mat.astype(dtype)
-            self.m[np.diag_indices(self.m.shape[0])] -= z
+        self.m = sp.csc_matrix(mat - z * sp.identity(mat.shape[0]), dtype=dtype)
 
     @functools.cached_property
     def lu(self):
         try:
-            if sp.issparse(self.m):
-                return _splu(self.m)
-            lu, piv = sla.lu_factor(self.m)
-        except (sla.LinAlgError, ValueError, RuntimeError) as exc:  # splu: RuntimeError
+            return _splu(self.m)
+        except (ValueError, RuntimeError) as exc:  # RuntimeError: exactly singular
             raise SingularMatrixError(f"LU factorization failed: {exc}") from exc
-        if not np.all(np.isfinite(lu)):
-            raise SingularMatrixError("LU factorization produced non-finite factors")
-        if np.min(np.abs(np.diag(lu))) == 0.0:
-            raise SingularMatrixError("shifted matrix is exactly singular (zero pivot)")
-        return lu, piv
 
-    def _lu_solve(self, b):
-        lu = self.lu
-        if isinstance(lu, tuple):
-            return sla.lu_solve(lu, b)
+    def _back_solve(self, b):
         if np.iscomplexobj(b) and not np.iscomplexobj(self.m.data):  # SuperLU keeps its dtype
-            return lu.solve(b.real) + 1j * lu.solve(b.imag)
-        return lu.solve(b)
+            return self.lu.solve(b.real) + 1j * self.lu.solve(b.imag)
+        return self.lu.solve(b)
 
     def cond_estimate(self) -> float:
-        """1-norm condition estimate of A − z·I, inf when singular: LAPACK ``gecon``
-        dense, ``onenormest`` of the inverse sparse (t=1 draws no random probes)."""
+        """1-norm condition estimate of A − z·I, inf when singular: ``onenormest``
+        of the inverse (t=1 draws no random probes) times ‖A − z·I‖₁."""
         try:
             lu = self.lu
         except SingularMatrixError:
             return np.inf
-        if isinstance(lu, tuple):
-            gecon = lapack.get_lapack_funcs("gecon", (lu[0],))
-            rcond, _ = gecon(lu[0], np.linalg.norm(self.m, 1), norm="1")
-            return np.inf if rcond <= 0.0 else float(1.0 / rcond)
         inverse = spla.LinearOperator(self.m.shape, matvec=lu.solve, dtype=self.m.dtype,
                                       rmatvec=lambda x: lu.solve(x, trans="H"))
         return float(spla.onenormest(inverse, t=1) * spla.norm(self.m, 1))
@@ -451,7 +412,7 @@ class _Resolvent:
         bnorm = np.linalg.norm(b)
         if bnorm == 0.0:
             return np.zeros_like(b)
-        x = self._lu_solve(b)
+        x = self._back_solve(b)
         if not np.all(np.isfinite(x)):
             raise SingularMatrixError("solve produced non-finite entries; shifted matrix is singular")
         best_res = np.inf
@@ -465,7 +426,7 @@ class _Resolvent:
             if res >= best_res * 0.5:
                 break
             best_res = res
-            x = x + self._lu_solve(r)
+            x = x + self._back_solve(r)
         r = b - m @ x
         res = float(np.linalg.norm(r) / bnorm)
         if res <= _REFINE_TARGET:
@@ -478,22 +439,6 @@ class _Resolvent:
 
 # ----------------------------------------------------------------------
 # shift-invert iteration
-
-
-class _DenseFactor:
-    def __init__(self, mat: np.ndarray):
-        try:
-            self.lu, self.piv = sla.lu_factor(mat, overwrite_a=True)
-        except (sla.LinAlgError, ValueError) as exc:
-            raise ShiftSingularError(f"shifted matrix is singular: {exc}") from exc
-        if not np.all(np.isfinite(self.lu)):
-            raise ShiftSingularError("shifted matrix factored to non-finite values")
-        absd = np.abs(np.diag(self.lu))
-        if absd.min() <= 1e-300 * max(absd.max(), 1.0):
-            raise ShiftSingularError("shifted matrix is singular to working precision")
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        return sla.lu_solve((self.lu, self.piv), b)
 
 
 def _splu(mat):
@@ -538,37 +483,19 @@ class _SparseFactor:
 
 
 def _shifted_factor(amat, bmat, z):
-    if sp.issparse(amat):
-        if bmat is None:
-            shifted = amat - z * sp.identity(amat.shape[0], format="csr", dtype=amat.dtype)
-        else:
-            shifted = amat - z * bmat
-        if np.iscomplexobj(np.asarray(z)) and not np.iscomplexobj(shifted.data):
-            shifted = shifted.astype(np.complex128)
-        return _SparseFactor(shifted)
-    # The one working copy, in the Fortran order getrf factors in place.
-    m = np.array(amat, dtype=np.result_type(amat.dtype, type(z)), order="F")
+    """SuperLU factors of the CSR matrix A − z·B (B = identity when ``bmat`` is None)."""
     if bmat is None:
-        m[np.diag_indices(m.shape[0])] -= z
-    elif sp.issparse(bmat):
-        coo = bmat.tocoo()
-        np.subtract.at(m, (coo.row, coo.col), z * coo.data)
+        shifted = amat - z * sp.identity(amat.shape[0], format="csr", dtype=amat.dtype)
     else:
-        m -= z * bmat
-    return _DenseFactor(m)
+        shifted = amat - z * bmat
+    if np.iscomplexobj(np.asarray(z)) and not np.iscomplexobj(shifted.data):
+        shifted = shifted.astype(np.complex128)
+    return _SparseFactor(shifted)
 
 
-def _solver_matrix(a):
-    """Dense array or CSR matrix suitable for factorization, from any accepted form."""
-    if isinstance(a, Operator):
-        if a.kind == "sparse":
-            return a.to_sparse()
-        if a.kind == "diagonal":
-            return sp.diags(a.diagonal_data).tocsr()
-        return a._data  # not a copy: the solver only reads it
-    if sp.issparse(a):
-        return sp.csr_matrix(a)
-    return _as_2d_array(a)
+def _solver_matrix(a) -> sp.csr_matrix:
+    """CSR copy of an :class:`Operator`, a scipy sparse matrix or a square numeric 2-D array."""
+    return (a if isinstance(a, Operator) else Operator.sparse(a)).to_sparse()
 
 
 def shift_invert_eigenpair(
@@ -602,8 +529,9 @@ def shift_invert_eigenpair(
     A and B are then used only for products, the Rayleigh quotient and the
     post-hoc residual.
 
-    A and B are never modified; B may be dense, diagonal or sparse, and each
-    factorization works on one copy of A minus z·B at B's stored entries.
+    A and B may each be an :class:`Operator`, a scipy sparse matrix or a
+    2-D array. They are never modified: each is read as a CSR copy, and each
+    factorization is a SuperLU one of A − z·B.
 
     The start vector is drawn from a seeded generator, and the returned
     residual is recomputed independently after the loop, so repeated runs
@@ -617,17 +545,13 @@ def shift_invert_eigenpair(
     """
     amat = _solver_matrix(a)
     bmat = None if b is None else _solver_matrix(b)
-    if sp.issparse(amat) and bmat is not None and not sp.issparse(bmat):
-        bmat = sp.csr_matrix(bmat)
     n = amat.shape[0]
     if bmat is not None and bmat.shape[0] != n:
         raise InvalidInputError(f"pencil dimension mismatch: {n} vs {bmat.shape[0]}")
     if max_iter < 1:
         raise InvalidInputError("max_iter must be at least 1")
 
-    complex_problem = bool(np.iscomplexobj(np.asarray(target))) or np.iscomplexobj(
-        amat.data if sp.issparse(amat) else amat
-    )
+    complex_problem = bool(np.iscomplexobj(np.asarray(target))) or np.iscomplexobj(amat.data)
     z = complex(target) if complex_problem else float(np.real(target))
     if shifted_factor is None:
         shifted_factor = functools.partial(_shifted_factor, amat, bmat)

@@ -418,11 +418,13 @@ def spectrum_union_check(split: FewBodySplit, tol: float = 1e-8) -> SpectrumUnio
 
 
 def random_split(n: int, dim: int, seed: int, hermitian: bool = True) -> FewBodySplit:
-    """Seeded dense split for stress tests.
+    """Seeded split of fully populated matrices for stress tests, stored sparse.
 
     Hermitian mode draws symmetric H0 and Vα; general mode draws arbitrary
     real matrices, for which the block operator's spectrum identity still
-    holds (nothing in the algebra uses symmetry).
+    holds (nothing in the algebra uses symmetry). Every draw is an
+    ``Operator.sparse``, so these splits are factored by SuperLU like the
+    lattice ones.
     """
     if n < 2 or dim < 1:
         raise InvalidInputError(f"need n >= 2 and dim >= 1, got n={n}, dim={dim}")
@@ -432,6 +434,6 @@ def random_split(n: int, dim: int, seed: int, hermitian: bool = True) -> FewBody
         m = rng.standard_normal((dim, dim))
         return (m + m.T) / 2.0 if hermitian else m
 
-    h0 = Operator.dense(draw())
-    pots = tuple(Operator.dense(draw()) for _ in range(n))
+    h0 = Operator.sparse(draw())
+    pots = tuple(Operator.sparse(draw()) for _ in range(n))
     return FewBodySplit(h0=h0, potentials=pots)

@@ -350,8 +350,8 @@ class KroneckerChannel:
     def solver(self, z) -> "_KroneckerSolver":
         """(channel − z)⁻¹ as an object with ``solve(b)``.
 
-        Raises :class:`ShiftSingularError` when the smallest |λ − z| falls
-        to the pivot floor a dense LU of the shifted channel is refused at.
+        Raises :class:`ShiftSingularError` when min |λ − z| ≤
+        1e−300 · max(max |λ − z|, 1), i.e. z is an eigenvalue.
         """
         gap = self.eigenvalues - z
         absgap = np.abs(gap)

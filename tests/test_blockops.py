@@ -1,4 +1,4 @@
-"""Operator containers, dense kernels, shift-invert, spectrum matching."""
+"""Operator containers, dense kernels, SuperLU solves, shift-invert, spectrum matching."""
 
 import numpy as np
 import pytest
@@ -35,12 +35,28 @@ from conftest import random_symmetric
 def test_operator_kinds_agree_on_apply():
     rng = np.random.default_rng(7)
     a = rng.standard_normal((5, 5))
+    d = rng.standard_normal(5)
     x = rng.standard_normal(5)
-    dense = Operator.dense(a)
-    sparse = Operator.sparse(sp.csr_matrix(a))
-    want = a @ x
-    assert np.allclose(dense.apply(x), want)
-    assert np.allclose(sparse.apply(x), want)
+    for op, m in ((Operator.sparse(a), a), (Operator.sparse(sp.csr_matrix(a)), a),
+                  (Operator.diagonal(d), np.diag(d)), (Operator.sparse(np.diag(d)), np.diag(d))):
+        assert np.allclose(op.apply(x), m @ x)
+        assert np.array_equal(op.materialize(), m)
+
+
+@pytest.mark.parametrize("bad", [np.array([["a", "b"], ["c", "d"]]), np.eye(2, dtype=bool),
+                                 np.zeros((2, 3)), np.zeros((2, 2, 2)), np.zeros(3)])
+def test_sparse_operator_rejects_non_numeric_or_non_square_arrays(bad):
+    with pytest.raises(InvalidInputError):
+        Operator.sparse(bad)
+
+
+@pytest.mark.parametrize("entries, dtype", [(np.arange(4).reshape(2, 2), np.float64),
+                                            ([[1, 0], [0, 2]], np.float64),
+                                            (np.eye(2, dtype=np.complex64), np.complex128)])
+def test_sparse_operator_stores_arrays_as_double_precision(entries, dtype):
+    op = Operator.sparse(entries)
+    assert op.to_sparse().dtype == dtype
+    assert np.array_equal(op.materialize(), np.asarray(entries))
 
 
 def test_diagonal_operator():
@@ -56,10 +72,12 @@ def test_operator_arithmetic_matches_matrices():
     a = rng.standard_normal((4, 4))
     b = rng.standard_normal((4, 4))
     d = rng.standard_normal(4)
-    combo = Operator.dense(a) + Operator.diagonal(d) - Operator.dense(b) * 0.5
+    combo = Operator.sparse(a) + Operator.diagonal(d) - Operator.sparse(b) * 0.5
     want = a + np.diag(d) - 0.5 * b
+    assert combo.kind == "sparse"
     assert np.allclose(combo.materialize(), want)
-    assert np.allclose((-Operator.dense(a)).materialize(), -a)
+    assert np.allclose((-Operator.sparse(a)).materialize(), -a)
+    assert (Operator.diagonal(d) - 2.0 * Operator.identity(4)).kind == "diagonal"
 
 
 def test_zero_and_identity():
@@ -72,9 +90,9 @@ def test_zero_and_identity():
 
 def test_operator_dimension_mismatch():
     with pytest.raises(InvalidInputError):
-        Operator.dense(np.eye(3)) + Operator.dense(np.eye(4))
+        Operator.sparse(np.eye(3)) + Operator.sparse(np.eye(4))
     with pytest.raises(InvalidInputError):
-        Operator.dense(np.eye(3)).apply(np.ones(4))
+        Operator.sparse(np.eye(3)).apply(np.ones(4))
 
 
 def test_block_operator_flatten_matches_manual_assembly():
@@ -82,7 +100,7 @@ def test_block_operator_flatten_matches_manual_assembly():
     a = rng.standard_normal((3, 3))
     b = rng.standard_normal((3, 3))
     grid = [
-        [Operator.dense(a), Operator.dense(b)],
+        [Operator.sparse(a), Operator.sparse(b)],
         [None, Operator.identity(3)],
     ]
     block = BlockOperator(grid)
@@ -93,12 +111,13 @@ def test_block_operator_flatten_matches_manual_assembly():
 
 
 def _random_block(rng, kind, d):
+    # "dense" and "complex" are fully populated sparse blocks
     if kind == "dense":
-        return Operator.dense(rng.standard_normal((d, d)))
+        return Operator.sparse(rng.standard_normal((d, d)))
     if kind == "diagonal":
         return Operator.diagonal(rng.standard_normal(d))
     if kind == "complex":
-        return Operator.dense(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        return Operator.sparse(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
     # COO triplets, possibly with duplicates and explicitly stored -0.0
     nnz = int(rng.integers(0, 2 * d + 1))
     vals = rng.standard_normal(nnz)
@@ -115,14 +134,11 @@ def _random_block(rng, kind, d):
     kinds=st.lists(st.sampled_from([None, "dense", "diagonal", "sparse", "complex"]),
                    min_size=9, max_size=9),
     block_diagonal=st.booleans(),
-    limit_offset=st.integers(min_value=-3, max_value=3),
 )
-# a lone block whose block row and column are otherwise empty, within and beyond the cap
-@example(m=3, d=1, seed=0, kinds=[None] * 8 + ["sparse"], block_diagonal=False, limit_offset=0)
-@example(m=2, d=2, seed=0, kinds=[None, "sparse"] + [None] * 7, block_diagonal=False,
-         limit_offset=-3)
-def test_flatten_is_bytewise_the_block_of_materialized_blocks(m, d, seed, kinds, block_diagonal,
-                                                              limit_offset):
+# a lone block whose block row and column are otherwise empty
+@example(m=3, d=1, seed=0, kinds=[None] * 8 + ["sparse"], block_diagonal=False)
+@example(m=2, d=2, seed=0, kinds=[None, "sparse"] + [None] * 7, block_diagonal=False)
+def test_flatten_is_bytewise_the_block_of_materialized_blocks(m, d, seed, kinds, block_diagonal):
     rng = np.random.default_rng(seed)
     grid = [[None] * m for _ in range(m)]
     for i in range(m):
@@ -133,15 +149,10 @@ def test_flatten_is_bytewise_the_block_of_materialized_blocks(m, d, seed, kinds,
     block = BlockOperator(grid, block_dim=d)
     want = np.block([[np.zeros((d, d)) if e is None else e.materialize() for e in row]
                      for row in grid])
-    limit = max(1, m * d + limit_offset)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("FY_DENSE_LIMIT", str(limit))
-        flat = block.flatten()
+    flat = block.flatten()
     only_diagonal = all(e is None or (i == j and e.kind == "diagonal")
                         for i, row in enumerate(grid) for j, e in enumerate(row))
-    any_dense = any(e is not None and e.kind == "dense" for row in grid for e in row)
-    assert flat.kind == ("diagonal" if only_diagonal
-                         else "dense" if any_dense and m * d <= limit else "sparse")
+    assert flat.kind == ("diagonal" if only_diagonal else "sparse")
     got = flat.materialize()
     assert got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
@@ -176,9 +187,7 @@ def test_sparse_flatten_keeps_the_csr_layout_of_per_block_triplets(m, d, seed, p
     present = [(i, j, e) for i, row in enumerate(grid) for j, e in enumerate(row) if e is not None]
     assume(m * d > 1 and present
            and not all(i == j and e.kind == "diagonal" for i, j, e in present))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("FY_DENSE_LIMIT", str(max(1, m * d - 1)))  # below the flatten: sparse
-        flat = BlockOperator(grid, block_dim=d).flatten()
+    flat = BlockOperator(grid, block_dim=d).flatten()
     assert flat.kind == "sparse"
     # the layout as built block by block: each block's own to_sparse().tocoo() triplets
     coos = [(i, j, e.to_sparse().tocoo()) for i, j, e in present]
@@ -240,7 +249,6 @@ def test_linear_solve_refines_to_high_accuracy():
     assert res <= 1e-12
 
 
-@pytest.mark.filterwarnings("ignore")
 def test_linear_solve_detects_singular_shift():
     a = np.diag([1.0, 2.0, 3.0])
     with pytest.raises(SingularMatrixError):
@@ -253,19 +261,51 @@ def test_sparse_resolvent_matches_the_dense_one():
     a[np.abs(a) < 0.8] = 0.0
     rhs = rng.standard_normal(30)
     z = -3.7
-    dense, sparse = _Resolvent(a, z), _Resolvent(sp.csr_matrix(a), z)
+    sparse = _Resolvent(sp.csr_matrix(a), z)
     x = sparse.solve(rhs)
     shifted = a - z * np.eye(30)
     assert np.linalg.norm(shifted @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
-    assert np.linalg.norm(x - dense.solve(rhs)) <= 1e-10 * np.linalg.norm(x)
+    assert np.linalg.norm(x - np.linalg.solve(shifted, rhs)) <= 1e-10 * np.linalg.norm(x)
     assert np.allclose(sparse.solve(1j * rhs), 1j * x, rtol=0, atol=1e-12 * np.linalg.norm(x))
     # onenormest bounds ‖(A − z)⁻¹‖₁ from below, and is close on small systems
     exact = np.linalg.cond(shifted, 1)
     assert exact / 3 <= sparse.cond_estimate() <= exact * (1 + 1e-12)
-    assert sparse.cond_estimate() == pytest.approx(dense.cond_estimate(), rel=0.5)
 
 
-@pytest.mark.filterwarnings("ignore")
+@settings(max_examples=200, deadline=None)
+@given(
+    d=st.integers(min_value=1, max_value=12),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    complex_entries=st.booleans(),
+    hermitian=st.booleans(),
+    complex_z=st.booleans(),
+    complex_rhs=st.booleans(),
+)
+def test_superlu_solves_fully_populated_matrices(d, seed, complex_entries, hermitian, complex_z,
+                                                 complex_rhs):
+    # the matrices random splits and raw arrays hand to SuperLU: no stored zeros
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((d, d))
+    if complex_entries:
+        a = a + 1j * rng.standard_normal((d, d))
+    if hermitian:
+        a = 0.5 * (a + a.conj().T)
+    z = rng.uniform(-3.0, 3.0) + (1j * rng.uniform(-1.0, 1.0) if complex_z else 0.0)
+    assume(np.min(np.abs(np.linalg.eigvals(a) - z)) >= 0.05)  # z away from σ(A)
+    rhs = rng.standard_normal(d) + (1j * rng.standard_normal(d) if complex_rhs else 0.0)
+    shifted = a - z * np.eye(d)
+    kappa = np.linalg.cond(shifted, 1)
+    x = linear_solve(a, z, rhs)
+    backward = np.linalg.norm(shifted @ x - rhs) / (
+        np.linalg.norm(shifted, 2) * np.linalg.norm(x) + np.linalg.norm(rhs))
+    assert backward <= 1e-12
+    want = np.linalg.solve(shifted, rhs)
+    assert np.linalg.norm(x - want) <= 2e-12 * d * kappa * np.linalg.norm(want)
+    # onenormest bounds ‖(A − z)⁻¹‖₁ from below. Like LAPACK's gecon it falls
+    # short of κ₁/3 on about 4 in 10,000 such draws, and of κ₁/5 on none of 34,301.
+    assert kappa / 10 <= _Resolvent(a, z).cond_estimate() <= kappa * (1 + 1e-12)
+
+
 def test_sparse_linear_solve_detects_singular_shift():
     with pytest.raises(SingularMatrixError):
         linear_solve(Operator.diagonal(np.array([1.0, 2.0, 3.0])), 2.0, np.ones(3))
@@ -281,7 +321,7 @@ def test_shift_invert_standard_problem():
     m = random_symmetric(rng, 40)
     want = np.linalg.eigvalsh(m)
     target = want[0] - 0.05
-    res = shift_invert_eigenpair(Operator.dense(m), target, tol=1e-12)
+    res = shift_invert_eigenpair(Operator.sparse(m), target, tol=1e-12)
     assert abs(np.real(res.value) - want[0]) <= 1e-9
     assert res.residual_norm <= 1e-10
     assert res.iterations >= 1
@@ -293,7 +333,7 @@ def test_shift_invert_interior_eigenvalue():
     m = random_symmetric(rng, 25)
     want = np.linalg.eigvalsh(m)
     target = 0.5 * (want[10] + 0.7 * want[10] + 0.3 * want[11])  # biased toward want[10]
-    res = shift_invert_eigenpair(Operator.dense(m), want[10] + 1e-3, tol=1e-12)
+    res = shift_invert_eigenpair(Operator.sparse(m), want[10] + 1e-3, tol=1e-12)
     d = np.min(np.abs(want - np.real(res.value)))
     assert d <= 1e-9
 
@@ -301,8 +341,8 @@ def test_shift_invert_interior_eigenvalue():
 def test_shift_invert_is_deterministic():
     rng = np.random.default_rng(31)
     m = random_symmetric(rng, 20)
-    r1 = shift_invert_eigenpair(Operator.dense(m), -1.0, seed=99)
-    r2 = shift_invert_eigenpair(Operator.dense(m), -1.0, seed=99)
+    r1 = shift_invert_eigenpair(Operator.sparse(m), -1.0, seed=99)
+    r2 = shift_invert_eigenpair(Operator.sparse(m), -1.0, seed=99)
     assert r1.value == r2.value
     assert np.array_equal(r1.vector, r2.vector)
 
@@ -314,7 +354,7 @@ def test_shift_invert_generalized_pencil():
     b = np.diag(bdiag)
     want = np.sort(np.real(np.linalg.eigvals(np.linalg.solve(b, a))))
     res = shift_invert_eigenpair(
-        Operator.dense(a), want[0] - 0.1, b=Operator.dense(b), tol=1e-12
+        Operator.sparse(a), want[0] - 0.1, b=Operator.sparse(b), tol=1e-12
     )
     assert np.min(np.abs(want - np.real(res.value))) <= 1e-8
     x = res.vector
@@ -322,11 +362,10 @@ def test_shift_invert_generalized_pencil():
     assert pencil_res <= 1e-10
 
 
-@pytest.mark.filterwarnings("ignore")
 def test_shift_invert_singular_shift_raises():
     a = np.diag([1.0, 2.0, 3.0])
     with pytest.raises(ShiftSingularError):
-        shift_invert_eigenpair(Operator.dense(a), 2.0)
+        shift_invert_eigenpair(Operator.sparse(a), 2.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -336,7 +375,6 @@ def test_shift_invert_singular_shift_raises():
     diagonal=st.booleans(),
     t=st.floats(min_value=-5.0, max_value=5.0),
 )
-@pytest.mark.filterwarnings("ignore:Diagonal number")
 def test_retry_driver_steps_off_an_exact_eigenvalue(d, seed, diagonal, t):
     # t sits on the diagonal of a row and column that are otherwise zero, so
     # the column of A − t·I is exactly zero and the shift t is singular in
@@ -386,7 +424,7 @@ def test_diagonal_pencil_b_is_bitwise_the_dense_one(d, seed, t):
 def test_solvers_leave_dense_operators_unchanged():
     split = random_split(3, 9, seed=17)
     flat = assemble_faddeev_operator(split).flatten()
-    b = Operator.dense(np.diag(np.linspace(0.5, 1.5, flat.dim)))
+    b = Operator.sparse(np.diag(np.linspace(0.5, 1.5, flat.dim)))
     ops = (split.h0, *split.potentials, flat, b)
     before = [op.materialize().tobytes() for op in ops]
     shift_invert_eigenpair(flat, 0.1)
@@ -401,7 +439,7 @@ def test_shift_invert_failure_carries_diagnostics():
     rng = np.random.default_rng(41)
     m = random_symmetric(rng, 12)
     with pytest.raises(SolverFailureError) as exc_info:
-        shift_invert_eigenpair(Operator.dense(m), 0.123, tol=1e-16, max_iter=2)
+        shift_invert_eigenpair(Operator.sparse(m), 0.123, tol=1e-16, max_iter=2)
     diag = exc_info.value.diagnostics
     assert "best_residual" in diag
     assert diag["iterations"] >= 1

@@ -8,7 +8,8 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fykit.blockops import Operator, dense_eigenvalues
+from fykit import blockops
+from fykit.blockops import Operator, dense_eigenvalues, linear_solve, shift_invert_retry
 from fykit.errors import (
     ChannelEnergyError,
     InvalidInputError,
@@ -90,16 +91,39 @@ def test_components_sum_to_eigenvector():
 
 
 def test_components_factor_h0_once(monkeypatch):
-    # one LU of H0 - z serves the condition estimate and all n solves
+    # one SuperLU factorization of H0 - z serves the condition estimate and all n solves
     split = random_split(4, 6, seed=7)
     z, psi = eigenpair_of(split)
     calls = []
-    real = sla.lu_factor
-    monkeypatch.setattr(sla, "lu_factor", lambda *a, **k: calls.append(1) or real(*a, **k))
+    real = blockops._splu
+    monkeypatch.setattr(blockops, "_splu", lambda m: calls.append(m.shape) or real(m))
     comps = faddeev_components(split, z, psi)
-    assert len(calls) == 1
+    assert calls == [(6, 6)]
     assert np.isfinite(comps.h0_cond_estimate)
     assert np.allclose(comps.total(), psi, atol=1e-9)
+
+
+def test_random_splits_never_reach_the_lapack_lu(monkeypatch):
+    # random splits are stored sparse, so every factorization is a SuperLU one
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK LU called")
+
+    monkeypatch.setattr(sla, "lu_factor", refuse)
+    monkeypatch.setattr(sla, "lu_solve", refuse)
+    for hermitian in (True, False):
+        split = random_split(3, 5, seed=21, hermitian=hermitian)
+        assert spectrum_union_check(split).passed
+        rhs = np.ones(split.dim)
+        x = linear_solve(split.h0, 0.37, rhs)
+        assert np.linalg.norm(split.h0.apply(x) - 0.37 * x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+    split = random_split(3, 5, seed=21)
+    z, psi = eigenpair_of(split)
+    comps = faddeev_components(split, z, psi)
+    mapped = faddeev_integral_map(split, z, comps.components)
+    assert np.allclose(np.sum(mapped.components, axis=0), psi, atol=1e-9)
+    assert lippmann_schwinger_residual(split, z, psi) <= 1e-10
+    res = shift_invert_retry(assemble_faddeev_operator(split).flatten(), z - 1e-3)
+    assert res.residual_norm <= 1e-10
 
 
 def test_components_need_an_eigenpair():
@@ -197,10 +221,31 @@ def test_spectrum_union_reports_failure_instead_of_raising():
 
 @settings(max_examples=200, deadline=None)
 @given(
-    n=st.integers(2, 4),
-    dim=st.integers(1, 5),
+    n=st.integers(2, 6),
+    dim=st.integers(1, 7),
     seed=st.integers(0, 2**32 - 1),
     hermitian=st.booleans(),
 )
 def test_spectrum_union_holds_on_random_splits(n, dim, seed, hermitian):
-    assert spectrum_union_check(random_split(n, dim, seed, hermitian)).passed
+    assert spectrum_union_check(random_split(n, dim, seed, hermitian), tol=1e-8).passed
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(2, 6),
+    dim=st.integers(1, 7),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_random_splits_meet_the_threebody_equivalences(n, dim, seed):
+    # criterion 2's checks at its 1e-9, on the lowest eigenpair of any Hermitian split
+    split = random_split(n, dim, seed)
+    z, psi = eigenpair_of(split)
+    comps = faddeev_components(split, z, psi)
+    kappa = np.linalg.cond(split.h0.materialize() - z * np.eye(dim), 1)
+    assert comps.ill_conditioned == (kappa > 1e10)
+    assert np.linalg.norm(comps.total() - psi) <= 1e-9 * np.linalg.norm(psi)
+    assert np.max(faddeev_residual(split, comps)) <= 1e-9
+    mapped = faddeev_integral_map(split, z, comps.components)
+    for before, after in zip(comps.components, mapped.components):
+        assert np.linalg.norm(after - before) <= 1e-9 * max(np.linalg.norm(before), 1e-300)
+    assert lippmann_schwinger_residual(split, z, psi) <= 1e-9

@@ -64,8 +64,6 @@ def test_assembled_matrix_matches_golden(name):
     assert digest(name) == golden()[name]
 
 
-def test_sparse_flatten_matches_golden(monkeypatch):
-    # a cap below the flatten dimension leaves the all-sparse pencil on its sparse branch
-    monkeypatch.setenv("FY_DENSE_LIMIT", "600")
+def test_sparse_flatten_matches_golden():
     assert CASES["pencil-a-core-1"]().flatten().kind == "sparse"
     assert digest("pencil-a-core-1") == golden()["pencil-a-core-1"]

@@ -4,7 +4,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -83,7 +82,7 @@ def test_pair_sum_factor_matches_dense_solve(d, seed, hermitian, z):
 
 @pytest.fixture
 def factored_dims(monkeypatch):
-    """Dimensions of every matrix handed to a dense or sparse LU."""
+    """Dimensions of every matrix handed to SuperLU."""
     dims = []
 
     def spy(kernel):
@@ -92,7 +91,6 @@ def factored_dims(monkeypatch):
             return kernel(mat, *args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(sla, "lu_factor", spy(sla.lu_factor))
     monkeypatch.setattr(spla, "splu", spy(spla.splu))
     return dims
 
