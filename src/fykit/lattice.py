@@ -233,30 +233,48 @@ def separations(model: LatticeModel, pair: Pair) -> np.ndarray:
     return delta
 
 
-def _one_particle_kinetic(model: LatticeModel) -> sp.csr_matrix:
-    L, t = model.L, model.t
-    ones = np.ones(L - 1)
-    hop = sp.diags([ones, ones], offsets=[-1, 1], shape=(L, L), format="lil")
+def _one_particle_bonds(model: LatticeModel) -> tuple[np.ndarray, np.ndarray]:
+    """Every hop a → b of one particle as two site arrays: to each neighbour
+    on the chain, and across the wrap on a ring of L > 2 (L = 2 has one bond)."""
+    L = model.L
+    a = np.arange(L - 1)
+    src, dst = np.r_[a, a + 1], np.r_[a + 1, a]
     if model.boundary == "ring" and L > 2:
-        hop[0, L - 1] = 1.0
-        hop[L - 1, 0] = 1.0
-    return (t * (2.0 * sp.identity(L) - hop)).tocsr()
+        src, dst = np.r_[src, 0, L - 1], np.r_[dst, L - 1, 0]
+    return src, dst
+
+
+def _one_particle_kinetic(model: LatticeModel) -> np.ndarray:
+    """The dense L×L one-particle operator t·(2I − S − Sᵀ)."""
+    k = np.diag(np.full(model.L, model.t * 2.0))
+    k[_one_particle_bonds(model)] -= model.t  # 0 − t: no −0.0 when t = 0
+    return k
 
 
 def build_h0(model: LatticeModel) -> Operator:
     """Kinetic operator: Kronecker sum of one-particle hopping matrices.
 
-    Exactly symmetric by construction. Returned sparse; materialize for the
-    dense oracles.
+    Built by stride arithmetic in one COO → CSR construction: particle i
+    moves with stride L^(N−1−i), so a one-particle hop a → b gives the entry
+    −t at (n, n + (b − a)·L^(N−1−i)) for every configuration n with x_i = a,
+    and the diagonal is 2Nt. The CSR arrays equal, byte for byte, those of
+    the summed Kronecker products I ⊗ … ⊗ k1 ⊗ … ⊗ I: sorted indices, and
+    no stored zeros (t = 0 gives an empty matrix). Exactly symmetric by
+    construction. Returned sparse; materialize for the dense oracles.
     """
-    k1 = _one_particle_kinetic(model)
-    L, N = model.L, model.N
-    total = sp.csr_matrix((model.dimension, model.dimension))
+    L, N, t, d = model.L, model.N, model.t, model.dimension
+    src, dst = _one_particle_bonds(model)
+    configs = np.arange(d)
+    rows, cols = [configs], [configs]
     for i in range(N):
-        left = sp.identity(L ** i, format="csr")
-        right = sp.identity(L ** (N - i - 1), format="csr")
-        total = total + sp.kron(sp.kron(left, k1), right, format="csr")
-    return Operator.sparse(total)
+        axes = configs.reshape(L ** i, L, -1)  # middle axis: x_i
+        rows.append(axes[:, src].ravel())
+        cols.append(axes[:, dst].ravel())
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    vals = np.full(rows.size, -t)
+    vals[:d] = 2.0 * N * t
+    keep = vals != 0
+    return Operator.sparse(sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(d, d)))
 
 
 def h0_spectrum(model: LatticeModel) -> np.ndarray:
@@ -303,7 +321,7 @@ _FACTOR_EIGH_DRIVER = "evd"
 
 
 def _one_particle_eigh(model: LatticeModel) -> tuple[np.ndarray, np.ndarray]:
-    return sla.eigh(_one_particle_kinetic(model).toarray(), driver=_FACTOR_EIGH_DRIVER)
+    return sla.eigh(_one_particle_kinetic(model), driver=_FACTOR_EIGH_DRIVER)
 
 
 def _two_particle_eigh(model: LatticeModel, potential: PairPotential) -> tuple[np.ndarray, np.ndarray]:

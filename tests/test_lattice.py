@@ -6,7 +6,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from conftest import POTENTIALS
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fykit.blockops import dense_eigenvalues
@@ -130,6 +130,44 @@ def test_kinetic_kronecker_sum_spectrum():
     want = np.sort((lam[:, None] + lam[None, :]).ravel())
     got = np.sort(np.real(dense_eigenvalues(build_h0(two).materialize(), hermitian=True)))
     assert np.allclose(got, want, atol=1e-12)
+
+
+def _kronecker_sum_h0(model):
+    """H0 as N Kronecker products I ⊗ … ⊗ k1 ⊗ … ⊗ I summed in CSR, the
+    reference build_h0's stride arithmetic must reproduce byte for byte."""
+    L, N, t = model.L, model.N, model.t
+    ones = np.ones(L - 1)
+    hop = sp.diags([ones, ones], offsets=[-1, 1], shape=(L, L), format="lil")
+    if model.boundary == "ring" and L > 2:
+        hop[0, L - 1] = 1.0
+        hop[L - 1, 0] = 1.0
+    k1 = (t * (2.0 * sp.identity(L) - hop)).tocsr()
+    total = sp.csr_matrix((model.dimension, model.dimension))
+    for i in range(N):
+        left = sp.identity(L ** i, format="csr")
+        right = sp.identity(L ** (N - i - 1), format="csr")
+        total = total + sp.kron(sp.kron(left, k1), right, format="csr")
+    return total
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=4),
+    size=st.integers(min_value=2, max_value=12),
+    boundary=st.sampled_from(["box", "ring"]),
+    t=st.floats(min_value=0.0, max_value=3.0),
+)
+@example(n=3, size=5, boundary="ring", t=0.0)
+@example(n=4, size=2, boundary="ring", t=0.7)
+def test_build_h0_is_the_kronecker_sum(n, size, boundary, t):
+    L = min(size, int(20736 ** (1.0 / n) + 1e-9))
+    model = LatticeModel(N=n, L=L, boundary=boundary, t=t)
+    got, want = build_h0(model).to_sparse(), _kronecker_sum_h0(model)
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    if t == 0.0:
+        assert got.nnz == 0  # exact zeros are not stored
 
 
 @settings(max_examples=100, deadline=None)
