@@ -12,8 +12,10 @@ underlying Hamiltonian is Hermitian, so the dense kernel is a general
 (Hessenberg + QR) routine, not a symmetric one.
 
 Every factorization, of a lattice operator or of a small random split, is a
-SuperLU one (:func:`_splu`). Dense eigensolvers are capped by
-:func:`dense_limit` (default 4096). The ``FY_DENSE_LIMIT`` environment
+SuperLU one (:func:`_splu`), ordered by minimum degree on Aᵀ + A: every
+matrix factored here has a symmetric nonzero pattern, and on a lattice
+H − z that ordering has about half the fill of scipy's default COLAMD.
+Dense eigensolvers are capped by :func:`dense_limit` (default 4096). The ``FY_DENSE_LIMIT`` environment
 variable is the one way to change the cap; no config file sets it. Beyond the
 cap only the shift-invert path is available. A grid flattens diagonal when it
 holds diagonal blocks on its block diagonal alone, and sparse otherwise, from
@@ -444,6 +446,16 @@ class _Resolvent:
 def _splu(mat):
     """SuperLU factors of ``mat``, run with fd 1 and fd 2 on the null device.
 
+    The columns are ordered by multiple minimum degree on the pattern of
+    Aᵀ + A, the standard ordering for a structurally symmetric matrix
+    (George & Liu, SIAM Review 31, 1989), which every matrix factored here
+    is. SuperLU's symmetric mode applies that permutation to the rows too,
+    so the diagonal stays on the diagonal, and partial pivoting (the default
+    threshold of 1) takes it wherever it is largest in its column; on the
+    diagonally heavy lattice matrices the fill then stays what the ordering
+    predicts, half of COLAMD's on an N=3 L=12 H − z. Without symmetric mode
+    the same ordering factors slower than COLAMD.
+
     SuperLU failing on an exactly singular matrix makes the BLAS print
     ``** On entry to DGEMV ...`` through C stdio, which would land in the
     CLI's stdout. Python's and C's buffers are flushed on each switch, so
@@ -459,7 +471,7 @@ def _splu(mat):
     try:
         os.dup2(sink, 1)
         os.dup2(sink, 2)
-        return spla.splu(mat)
+        return spla.splu(mat, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
     finally:
         fflush(None)
         os.dup2(saved[0], 1)

@@ -260,7 +260,10 @@ def build_h0(model: LatticeModel) -> Operator:
     and the diagonal is 2Nt. The CSR arrays equal, byte for byte, those of
     the summed Kronecker products I ⊗ … ⊗ k1 ⊗ … ⊗ I: sorted indices, and
     no stored zeros (t = 0 gives an empty matrix). Exactly symmetric by
-    construction. Returned sparse; materialize for the dense oracles.
+    construction; so is the pattern of every H − z and H0 + Vα − z built on
+    it, which is why SuperLU orders them by minimum degree on Aᵀ + A
+    (:func:`fykit.blockops._splu`). Returned sparse; materialize for the
+    dense oracles.
     """
     L, N, t, d = model.L, model.N, model.t, model.dimension
     src, dst = _one_particle_bonds(model)

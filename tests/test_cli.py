@@ -6,6 +6,7 @@ import sys
 from importlib import resources
 
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -313,6 +314,27 @@ def test_solve3_auto_target_builds_no_second_hamiltonian(monkeypatch, capsys, tm
     assert "# auto target from lanczos oracle: " in capsys.readouterr().out
     assert seen["terms"] == 1 and seen["hamiltonians"] == 0
     assert len({id(h) for h in seen["totals"]}) == 1
+
+
+def test_every_cli_factorization_uses_the_symmetric_ordering(monkeypatch, capsys):
+    # one factorization path: every SuperLU call of a solve goes through
+    # blockops._splu, which orders by minimum degree on Aᵀ + A
+    calls = []
+    real = spla.splu
+
+    def splu(mat, **kwargs):
+        calls.append(kwargs)
+        return real(mat, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", splu)
+    for argv in (["solve3", "--config", "tiny3"], ["solve4", "--config", "tiny4"],
+                 ["hardcore3", "--config", "tiny3", "--sweep", "none,0,1"]):
+        before = len(calls)
+        assert cli.main(argv) == 0
+        assert len(calls) > before, argv[0]
+    capsys.readouterr()
+    want = {"permc_spec": "MMD_AT_PLUS_A", "options": {"SymmetricMode": True}}
+    assert all(kwargs == want for kwargs in calls)
 
 
 def _main_runs(capsys, argvs):
