@@ -12,19 +12,19 @@ underlying Hamiltonian is Hermitian, so the dense kernel is a general
 (Hessenberg + QR) routine, not a symmetric one.
 
 Every factorization, of a lattice operator or of a small random split, is a
-SuperLU one (:func:`_splu`), ordered by minimum degree on Aᵀ + A: every
-matrix factored here has a symmetric nonzero pattern, and on a lattice
-H − z that ordering has about half the fill of scipy's default COLAMD.
-Dense eigensolvers are capped by :func:`dense_limit` (default 4096). The ``FY_DENSE_LIMIT`` environment
-variable is the one way to change the cap; no config file sets it. Beyond the
-cap only the shift-invert path is available. A grid flattens diagonal when it
-holds diagonal blocks on its block diagonal alone, and sparse otherwise, from
-one set of COO triplets per distinct block object (a coupled grid repeats a
-few operators in many slots). The lattice solvers factor only H − z
-(d-dimensional), solve H0 − z and the channels H0 + Vα − z through their
+SuperLU one (:func:`_splu`), ordered by minimum degree on Aᵀ + A: every matrix
+factored here has a symmetric nonzero pattern, and on a lattice H − z that
+ordering has about half the fill of scipy's default COLAMD. Dense eigensolvers
+are capped by :func:`dense_limit` (default 4096). The ``FY_DENSE_LIMIT``
+environment variable is the one way to change the cap; no config file sets it.
+Beyond the cap only the shift-invert path is available. A grid flattens
+diagonal when it holds diagonal blocks on its block diagonal alone, and sparse
+otherwise, from one set of COO triplets per distinct block object (a coupled
+grid repeats a few operators in many slots). The lattice solvers factor only
+H − z (d-dimensional), solve H0 − z and the channels H0 + Vα − z through their
 Kronecker diagonalizations (:class:`fykit.lattice.KroneckerChannel`) and use
-the flattens for products; the hard-core pencil A − zB itself is factored
-only next to σ(H0).
+the flattens for products; the hard-core pencil A − zB itself is factored only
+next to σ(H0).
 
 Every shift-invert solve in the package goes through
 :func:`shift_invert_retry`, which retries a singular start shift with a
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import operator
 import os
 import sys
 from dataclasses import dataclass
@@ -142,12 +143,14 @@ class Operator:
         """From a scipy sparse matrix, or from a square numeric 2-D array.
 
         Array input is stored as float64 or complex128; non-numeric (bool
-        included) or non-square arrays raise :class:`InvalidInputError`.
+        included) or non-square arrays raise :class:`InvalidInputError`. A
+        CSR matrix is stored as it is, not copied.
         """
-        mat = sp.csr_matrix(m if sp.issparse(m) else _as_2d_array(m))
-        if mat.shape[0] != mat.shape[1]:
-            raise InvalidInputError(f"expected a square sparse matrix, got {mat.shape}")
-        return cls("sparse", mat.shape[0], data=mat)
+        if not isinstance(m, sp.csr_matrix):
+            m = sp.csr_matrix(m if sp.issparse(m) else _as_2d_array(m))
+        if m.shape[0] != m.shape[1]:
+            raise InvalidInputError(f"expected a square sparse matrix, got {m.shape}")
+        return cls("sparse", m.shape[0], data=m)
 
     @classmethod
     def zero(cls, dim: int) -> "Operator":
@@ -176,9 +179,15 @@ class Operator:
         return self._data.toarray()
 
     def to_sparse(self) -> sp.csr_matrix:
+        """A CSR copy, which the caller may modify."""
+        return self._csr() if self.kind == "diagonal" else self._data.copy()
+
+    def _csr(self) -> sp.csr_matrix:
+        """This operator as CSR, the stored matrix itself when sparse: only for
+        reads whose result is a new matrix anyway."""
         if self.kind == "diagonal":
             return sp.diags(self._data).tocsr()
-        return self._data.copy()
+        return self._data
 
     @property
     def diagonal_data(self) -> np.ndarray:
@@ -188,21 +197,20 @@ class Operator:
 
     # -- arithmetic -----------------------------------------------------
 
-    def _binary(self, other: "Operator", sign: float) -> "Operator":
+    def _binary(self, other: "Operator", op: Callable) -> "Operator":
         if not isinstance(other, Operator):
             return NotImplemented
         if other.dim != self.dim:
             raise InvalidInputError(f"dimension mismatch {self.dim} vs {other.dim}")
-        a, b = self, other
-        if a.kind == "diagonal" and b.kind == "diagonal":
-            return Operator.diagonal(a._data + sign * b._data)
-        return Operator.sparse(a.to_sparse() + sign * b.to_sparse())
+        if self.kind == "diagonal" and other.kind == "diagonal":
+            return Operator.diagonal(op(self._data, other._data))
+        return Operator.sparse(op(self._csr(), other._csr()))
 
     def __add__(self, other):
-        return self._binary(other, 1.0)
+        return self._binary(other, operator.add)
 
     def __sub__(self, other):
-        return self._binary(other, -1.0)
+        return self._binary(other, operator.sub)
 
     def __neg__(self):
         return self * (-1.0)
@@ -284,8 +292,9 @@ class BlockOperator:
                     nz = np.flatnonzero(e._data)
                     triplets[id(e)] = (nz, nz, e._data[nz])
                 else:
-                    c = e.to_sparse().tocoo()
-                    triplets[id(e)] = (c.row, c.col, c.data)
+                    c = e._data  # row of each stored entry, without a COO copy
+                    rows = np.repeat(np.arange(d), np.diff(c.indptr))
+                    triplets[id(e)] = (rows, c.indices, c.data)
         rows = np.concatenate([i * d + triplets[id(e)][0] for i, _, e in present])
         cols = np.concatenate([j * d + triplets[id(e)][1] for _, j, e in present])
         vals = np.concatenate([triplets[id(e)][2] for _, _, e in present])

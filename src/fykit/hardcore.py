@@ -221,7 +221,7 @@ def _constrain(block: Operator, keep: np.ndarray) -> Operator:
     """K·F + (I − K) for K = diag(keep): rows where keep is 0 become unit rows."""
     if block.kind == "diagonal":
         return Operator.diagonal(keep * block.diagonal_data + (1.0 - keep))
-    m = (sp.diags(keep) @ block.to_sparse() + sp.diags(1.0 - keep)).tocsr()
+    m = (sp.diags(keep) @ block._csr() + sp.diags(1.0 - keep)).tocsr()
     m.eliminate_zeros()  # masked entries are stored as ±0; -0 would reach --dump-matrix
     return Operator.sparse(m)
 

@@ -450,6 +450,17 @@ def test_solvers_leave_dense_operators_unchanged():
     assert [op.materialize().tobytes() for op in ops] == before
 
 
+def test_sums_and_flattens_copy_no_operand(monkeypatch):
+    # their results are new matrices, so the operands' stored CSR is read as it is
+    split = random_split(3, 5, seed=4)
+    mixed = Operator.diagonal(np.arange(5.0))
+    monkeypatch.setattr(Operator, "to_sparse", lambda self: pytest.fail("operand copied"))
+    assemble_faddeev_operator(split).flatten()
+    split.total()
+    assert np.array_equal((mixed - split.h0).materialize(),
+                          np.diag(np.arange(5.0)) - split.h0.materialize())
+
+
 def test_shift_invert_failure_carries_diagnostics():
     rng = np.random.default_rng(41)
     m = random_symmetric(rng, 12)
