@@ -455,21 +455,32 @@ class _Resolvent:
 def _splu(mat):
     """SuperLU factors of ``mat``, run with fd 1 and fd 2 on the null device.
 
-    The columns are ordered by multiple minimum degree on the pattern of
-    Aᵀ + A, the standard ordering for a structurally symmetric matrix
-    (George & Liu, SIAM Review 31, 1989), which every matrix factored here
-    is. SuperLU's symmetric mode applies that permutation to the rows too,
-    so the diagonal stays on the diagonal, and partial pivoting (the default
-    threshold of 1) takes it wherever it is largest in its column; on the
-    diagonally heavy lattice matrices the fill then stays what the ordering
-    predicts, half of COLAMD's on an N=3 L=12 H − z. Without symmetric mode
-    the same ordering factors slower than COLAMD.
+    When every diagonal entry is stored and nonzero, the columns are ordered
+    by multiple minimum degree on the pattern of Aᵀ + A, the standard
+    ordering for a structurally symmetric matrix (George & Liu, SIAM Review
+    31, 1989), which every lattice H − z, H0 − z and channel is. SuperLU's
+    symmetric mode applies that permutation to the rows too, so the diagonal
+    stays on the diagonal, and partial pivoting (the default threshold of 1)
+    takes it wherever it is largest in its column; on the diagonally heavy
+    lattice matrices the fill then stays what the ordering predicts, half of
+    COLAMD's on an N=3 L=12 H − z. Without symmetric mode the same ordering
+    factors slower than COLAMD.
+
+    A matrix with a zero or missing diagonal entry keeps scipy's default
+    COLAMD ordering. The minimum-degree ordering assumes a zero-free
+    diagonal: on the structurally singular hard-core pencil A − zB at a
+    defective root (z = 6t for three free particles on three sites) it
+    makes SuperLU pass illegal sizes to the BLAS and corrupt the heap, which
+    crashed the interpreter a few factorizations later.
 
     SuperLU failing on an exactly singular matrix makes the BLAS print
     ``** On entry to DGEMV ...`` through C stdio, which would land in the
     CLI's stdout. Python's and C's buffers are flushed on each switch, so
     only what is printed during the factorization is discarded.
     """
+    ordering = {}
+    if np.all(mat.diagonal() != 0):
+        ordering = {"permc_spec": "MMD_AT_PLUS_A", "options": {"SymmetricMode": True}}
     fflush = ctypes.CDLL(None).fflush
     fflush.argtypes, fflush.restype = [ctypes.c_void_p], ctypes.c_int
     sys.stdout.flush()
@@ -480,7 +491,7 @@ def _splu(mat):
     try:
         os.dup2(sink, 1)
         os.dup2(sink, 2)
-        return spla.splu(mat, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+        return spla.splu(mat, **ordering)
     finally:
         fflush(None)
         os.dup2(saved[0], 1)

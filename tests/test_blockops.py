@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import structural_rank
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +31,7 @@ from fykit.errors import (
 )
 
 from fykit.faddeev import assemble_faddeev_operator, faddeev_components, random_split
+from fykit.hardcore import assemble_hardcore3_pencil
 from fykit.lattice import LatticeModel, PairPotential, build_hamiltonian
 
 from conftest import random_symmetric
@@ -285,6 +287,24 @@ def test_splu_ordering_fills_less_than_colamd():
     assert ours.L.nnz + ours.U.nnz < 0.75 * (colamd.L.nnz + colamd.U.nnz)
     rhs = np.ones(h.shape[0])
     assert np.linalg.norm(shifted @ ours.solve(rhs) - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+
+def test_splu_keeps_colamd_without_a_zero_free_diagonal(monkeypatch):
+    # three free hard-core particles on three sites: at z = 6t the pencil
+    # A − zB is structurally singular, and minimum degree on Aᵀ + A made
+    # SuperLU corrupt its heap there; one shift away the diagonal is zero-free
+    model = LatticeModel(N=3, L=3, potential=PairPotential.onsite(-4.0), core_radius=0)
+    pencil = assemble_hardcore3_pencil(model)
+    a, b = pencil.a.flatten().to_sparse(), pencil.b.flatten().to_sparse()
+    calls = []
+    real = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda m, **kw: calls.append(kw) or real(m, **kw))
+    singular = sp.csc_matrix(a - 6.0 * b)
+    assert structural_rank(singular) < singular.shape[0]
+    with pytest.raises(RuntimeError):
+        _splu(singular)
+    _splu(sp.csc_matrix(a - 5.5 * b))
+    assert calls == [{}, {"permc_spec": "MMD_AT_PLUS_A", "options": {"SymmetricMode": True}}]
 
 
 @settings(max_examples=200, deadline=None)
