@@ -12,10 +12,11 @@ underlying Hamiltonian is Hermitian, so the dense kernel is a general
 (Hessenberg + QR) routine, not a symmetric one.
 
 Every factorization, of a lattice operator or of a small random split, is a
-SuperLU one (:func:`_splu`), ordered by minimum degree on Aᵀ + A: every matrix
-factored here has a symmetric nonzero pattern, and on a lattice H − z that
-ordering has about half the fill of scipy's default COLAMD. Dense eigensolvers
-are capped by :func:`dense_limit` (default 4096). The ``FY_DENSE_LIMIT``
+SuperLU one (:func:`_splu`), ordered by minimum degree on Aᵀ + A when the
+diagonal is zero-free: the lattice matrices have a symmetric nonzero pattern,
+and on a lattice H − z that ordering has about half the fill of scipy's
+default COLAMD, which every other matrix keeps. Dense eigensolvers are capped
+by :func:`dense_limit` (default 4096). The ``FY_DENSE_LIMIT``
 environment variable is the one way to change the cap; no config file sets it.
 Beyond the cap only the shift-invert path is available. A grid flattens
 diagonal when it holds diagonal blocks on its block diagonal alone, and sparse
