@@ -317,8 +317,9 @@ def test_solve3_auto_target_builds_no_second_hamiltonian(monkeypatch, capsys, tm
 
 
 def test_every_cli_factorization_uses_the_symmetric_ordering(monkeypatch, capsys):
-    # one factorization path: every SuperLU call of a solve goes through
-    # blockops._splu, which orders by minimum degree on Aᵀ + A
+    # one factorization path: every matrix these solves factor has a
+    # zero-free diagonal, for which blockops._splu orders by minimum degree
+    # on Aᵀ + A; a SuperLU call made beside _splu would not carry it
     calls = []
     real = spla.splu
 
