@@ -25,7 +25,10 @@ grid repeats a few operators in many slots). The lattice solvers factor only
 H − z (d-dimensional), solve H0 − z and the channels H0 + Vα − z through their
 Kronecker diagonalizations (:class:`fykit.lattice.KroneckerChannel`) and use
 the flattens for products; the hard-core pencil A − zB itself is factored only
-next to σ(H0).
+next to σ(H0). The post-hoc checks solve their shifted systems through
+:func:`linear_solve`, by conjugate gradients when a Gershgorin bound proves the
+matrix positive definite (H0 − z below the free spectrum) and by SuperLU
+otherwise.
 
 Every shift-invert solve in the package goes through
 :func:`shift_invert_retry`, which retries a singular start shift with a
@@ -75,6 +78,9 @@ DEFAULT_DENSE_LIMIT = 4096
 
 _REFINE_TARGET = 1e-12
 _MAX_REFINE = 10
+# a conjugate-gradient column whose recursive residual has not fallen over
+# this many steps stops
+_CG_STALL = 10
 _MAX_FACTORIZATIONS = 12
 
 
@@ -369,29 +375,119 @@ def dense_eigenvalues(a, hermitian: bool = False) -> np.ndarray:
 
 
 def linear_solve(a, z, rhs) -> np.ndarray:
-    """Solve (A − z·I)·x = rhs by a SuperLU factorization with iterative refinement.
+    """Solve (A − z·I)·x = rhs, by conjugate gradients when that is proven safe.
 
-    Refinement repeats until the true residual is at or below 1e-12 relative
-    to ‖rhs‖ or stops improving; a system that cannot reach that target is
-    reported as singular to working precision rather than returned silently
-    degraded. A zero right-hand side returns zeros without factoring.
+    When A − z·I is real, sparse, exactly symmetric and has all its Gershgorin
+    discs in (0, ∞), so that it is positive definite (:func:`_gershgorin_positive`),
+    conjugate gradients solve it on its CSR matrix alone; otherwise SuperLU
+    factors it and iterative refinement follows. Either way
+    each returned column has a true residual at or below 1e-12 relative to its
+    right-hand side: a conjugate-gradient column that misses it is solved
+    again by the LU path, and a system the LU path cannot bring to that
+    target is reported as singular to working precision rather than returned
+    silently degraded. A zero right-hand side returns zeros without factoring.
     """
     return _Resolvent(a, z).solve(rhs)
 
 
-class _Resolvent:
-    """(A − z·I)⁻¹ from one SuperLU factorization, shared by every right-hand side.
+def _gershgorin_positive(m: sp.csr_matrix) -> bool:
+    """Whether conjugate gradients may solve with the CSR matrix m: m is real,
+    sparse, exactly symmetric, and every Gershgorin disc lies in (0, ∞),
+    which makes m positive definite.
 
-    A may be an :class:`Operator`, a scipy sparse matrix or a 2-D array. The
-    LU is computed on the first nonzero right-hand side (or condition
-    estimate) and reused; each solve refines its own residual and raises
-    :class:`SingularMatrixError` exactly as :func:`linear_solve` does.
+    Disc i is centred on m_ii with radius Σ_{j≠i}|m_ij|. The rounding of the
+    radius sums is covered by a margin of (row nonzeros)·ε times the row's
+    absolute sum, so a lower bound of exactly 0 (H0 − z at z = 0) never passes.
+    Sparse means at most n²/3 stored entries: then even n steps, the most
+    :func:`_conjugate_gradients` takes, cost no more than a dense LU
+    (2·nnz flops a step against 2n³/3), while a fully populated matrix, such
+    as a random split's, is cheaper to factor.
+    """
+    n = m.shape[0]
+    if 3 * m.nnz > n * n or np.iscomplexobj(m.data):
+        return False
+    rows = np.repeat(np.arange(n), np.diff(m.indptr))
+    cols = m.indices.astype(np.int64)
+    # sorted by the key of its transposed position, each entry must land on an
+    # entry of m (row-major keys) with the same value; a non-canonical m fails
+    flipped = np.argsort(cols * n + rows)
+    if not (np.array_equal(cols[flipped] * n + rows[flipped], rows * n + cols)
+            and np.array_equal(m.data[flipped], m.data)):
+        return False
+    off = cols != rows
+    radius = np.bincount(rows[off], np.abs(m.data[off]), minlength=n)
+    diag = m.diagonal()
+    margin = np.diff(m.indptr) * np.finfo(np.float64).eps * (np.abs(diag) + radius)
+    return bool(np.all(diag - radius > margin))
+
+
+def _conjugate_gradients(m: sp.csr_matrix, b: np.ndarray) -> np.ndarray:
+    """Conjugate gradients (Hestenes & Stiefel, J. Res. NBS 49, 1952) on every
+    column of b at once, for a Hermitian positive definite m.
+
+    A column stops when its recursive residual reaches ε·‖b_j‖, when it is no
+    smaller than ``_CG_STALL`` steps before, or after dim m steps; the caller
+    certifies the result.
+    """
+    def dot(u, v):
+        return np.vecdot(u, v, axis=0).real  # conjugates u
+
+    x = np.zeros_like(b)
+    rho = dot(b, b)
+    cols = np.flatnonzero(rho > 0.0)
+    r, rho = np.ascontiguousarray(b[:, cols]), rho[cols]  # m @ p copies a non-C-order p
+    xc, p = np.zeros_like(r), r.copy()
+    stop, earlier = np.finfo(np.float64).eps ** 2 * rho, rho
+    for step in range(1, m.shape[0] + 1):
+        if cols.size == 0:
+            return x
+        q = m @ p
+        alpha = rho / dot(p, q)
+        xc += alpha * p
+        r -= alpha * q
+        rho_new = dot(r, r)
+        p *= rho_new / rho
+        p += r
+        rho = rho_new
+        going = rho > stop  # False on NaN too
+        if step % _CG_STALL == 0:
+            going &= rho < earlier
+            earlier = rho
+        if not going.all():
+            x[:, cols[~going]] = xc[:, ~going]
+            cols, rho, stop, earlier = cols[going], rho[going], stop[going], earlier[going]
+            xc, r, p = (np.ascontiguousarray(a[:, going]) for a in (xc, r, p))
+    x[:, cols] = xc
+    return x
+
+
+class _Resolvent:
+    """(A − z·I)⁻¹ for any number of right-hand sides, by conjugate gradients
+    or from one SuperLU factorization.
+
+    A may be an :class:`Operator`, a scipy sparse matrix or a 2-D array. When
+    A − z·I passes :func:`_gershgorin_positive` (real A and z, a sparse and
+    exactly symmetric matrix, a positive Gershgorin lower bound), ``positive``
+    holds its CSR matrix and every solve runs
+    :func:`_conjugate_gradients` on all its columns at once, and each column
+    whose true residual exceeds ``_REFINE_TARGET`` relative to its right-hand
+    side goes to the LU path. The LU path factors on the first column that
+    needs it (or on the condition estimate), reuses the factors, and solves
+    and refines each column on its own, raising :class:`SingularMatrixError`
+    exactly as :func:`linear_solve` does. ``solve`` takes one vector or the
+    columns of a 2-D array.
     """
 
     def __init__(self, a, z):
         mat = _solver_matrix(a)
-        dtype = np.result_type(mat.dtype, type(z))
-        self.m = sp.csc_matrix(mat - z * sp.identity(mat.shape[0]), dtype=dtype)
+        self.dtype = np.result_type(mat.dtype, type(z))
+        self.shifted = (mat - z * sp.identity(mat.shape[0])).tocsr()
+        self.positive = self.shifted if _gershgorin_positive(self.shifted) else None
+
+    @functools.cached_property
+    def m(self):
+        """A − z·I in CSC form, as SuperLU takes it."""
+        return sp.csc_matrix(self.shifted, dtype=self.dtype)
 
     @functools.cached_property
     def lu(self):
@@ -407,20 +503,51 @@ class _Resolvent:
 
     def cond_estimate(self) -> float:
         """1-norm condition estimate of A − z·I, inf when singular: ``onenormest``
-        of the inverse (t=1 draws no random probes) times ‖A − z·I‖₁."""
+        of the inverse (t=1 draws no random probes) times ‖A − z·I‖₁. The
+        inverse is applied without refinement: by conjugate gradients where a
+        column certifies, and by the bare LU solve everywhere else."""
         try:
-            lu = self.lu
+            if self.positive is not None:
+                mat = self.positive
+                solve = rsolve = functools.partial(self._cg_solve, fallback=self._back_solve)
+            else:
+                mat, lu = self.m, self.lu
+                solve, rsolve = lu.solve, lambda x: lu.solve(x, trans="H")
         except SingularMatrixError:
             return np.inf
-        inverse = spla.LinearOperator(self.m.shape, matvec=lu.solve, dtype=self.m.dtype,
-                                      rmatvec=lambda x: lu.solve(x, trans="H"))
-        return float(spla.onenormest(inverse, t=1) * spla.norm(self.m, 1))
+        inverse = spla.LinearOperator(mat.shape, matvec=solve, rmatvec=rsolve, dtype=mat.dtype)
+        return float(spla.onenormest(inverse, t=1) * spla.norm(mat, 1))
 
     def solve(self, rhs) -> np.ndarray:
+        b = np.asarray(rhs, dtype=np.result_type(self.dtype, np.asarray(rhs).dtype))
+        if b.shape[0] != self.shifted.shape[0]:
+            raise InvalidInputError(
+                f"rhs length {b.shape[0]} != matrix dim {self.shifted.shape[0]}")
+        if self.positive is not None:
+            return self._cg_solve(b, fallback=self._lu_solve)
+        cols = b.reshape(b.shape[0], -1)
+        x = np.zeros_like(cols)
+        for j in range(cols.shape[1]):
+            x[:, j] = self._lu_solve(cols[:, j])
+        return x.reshape(b.shape)
+
+    def _cg_solve(self, b: np.ndarray, fallback: Callable) -> np.ndarray:
+        """Conjugate gradients on the columns of b; a column whose true residual
+        exceeds ``_REFINE_TARGET`` relative to its right-hand side is solved by
+        ``fallback`` instead."""
+        cols = b.reshape(b.shape[0], -1)
+        x = _conjugate_gradients(self.positive, cols)
+        res = np.linalg.norm(cols - self.positive @ x, axis=0)
+        certified = res <= _REFINE_TARGET * np.linalg.norm(cols, axis=0)
+        for j in np.flatnonzero(~certified):
+            x[:, j] = fallback(cols[:, j])
+        return x.reshape(b.shape)
+
+    def _lu_solve(self, b: np.ndarray) -> np.ndarray:
+        """One column through the LU factors, refined until its residual is at
+        or below ``_REFINE_TARGET`` relative to ‖b‖ or stops improving."""
         m = self.m
-        b = np.asarray(rhs, dtype=np.result_type(m.dtype, np.asarray(rhs).dtype))
-        if b.shape[0] != m.shape[0]:
-            raise InvalidInputError(f"rhs length {b.shape[0]} != matrix dim {m.shape[0]}")
+        b = np.ascontiguousarray(b)
         bnorm = np.linalg.norm(b)
         if bnorm == 0.0:
             return np.zeros_like(b)

@@ -207,7 +207,10 @@ def faddeev_components(
     a precondition failure carrying the measured value. The condition of
     (H0 − z) is estimated and flagged (not fatal) above 1e10, which is the
     quantitative version of "z does not belong to the spectrum of H0". One
-    LU of H0 − z serves the estimate and all n solves.
+    :class:`~fykit.blockops._Resolvent` of H0 − z serves the estimate and the
+    n solves, which it takes as one block: by conjugate gradients when H0 − z
+    is provably positive definite (z below every Gershgorin disc of H0, as
+    for a bound state on a lattice), otherwise from one LU.
     """
     psi = np.asarray(psi)
     pnorm = np.linalg.norm(psi)
@@ -222,17 +225,15 @@ def faddeev_components(
         )
     resolvent = _Resolvent(split.h0, z)
     cond = resolvent.cond_estimate()
-    comps = []
-    for v in split.potentials:
-        try:
-            comps.append(-resolvent.solve(v.apply(psi)))
-        except SingularMatrixError as exc:
-            raise SpuriousEnergyError(
-                f"z = {z} is numerically in the unperturbed spectrum"
-            ) from exc
+    try:
+        comps = resolvent.solve(np.stack([v.apply(psi) for v in split.potentials], axis=1))
+    except SingularMatrixError as exc:
+        raise SpuriousEnergyError(
+            f"z = {z} is numerically in the unperturbed spectrum"
+        ) from exc
     return FaddeevComponents(
         z=z,
-        components=tuple(comps),
+        components=tuple(-c for c in comps.T),
         h0_cond_estimate=cond,
         ill_conditioned=bool(cond > ILL_CONDITION_THRESHOLD),
     )

@@ -152,7 +152,10 @@ def yakubovsky_components(
     H0 + Vα at z applied to Vα times the sum of the *other* pair components
     living inside the cluster a. A z inside some channel spectrum breaks
     only that channel, so the error names the offending pair. The three
-    chains of a pair share one LU of their channel operator.
+    chains of a pair are solved as one block by one
+    :class:`~fykit.blockops._Resolvent` of their channel operator: conjugate
+    gradients when H0 + Vα − z is provably positive definite, one LU
+    otherwise.
     """
     if faddeev.n != 6:
         raise InvalidInputError(f"need the 6 pair components, got {faddeev.n}")
@@ -160,21 +163,23 @@ def yakubovsky_components(
     chains = sys.chains
     out = [None] * len(chains)
     for alpha, v in zip(sys.pairs, sys.split.potentials):
-        channel = _Resolvent(sys.split.h0 + v, z)
-        for i, chain in enumerate(chains):
-            if chain.pair != alpha:
-                continue
+        rows = [i for i, chain in enumerate(chains) if chain.pair == alpha]
+        rhs = []
+        for i in rows:
             rhs_vec = np.zeros(sys.dim)
-            for beta in chain.partition.internal_pairs():
+            for beta in chains[i].partition.internal_pairs():
                 if beta != alpha:
                     rhs_vec = rhs_vec + pair_comp[beta]
-            try:
-                out[i] = -channel.solve(v.apply(rhs_vec))
-            except SingularMatrixError as exc:
-                raise ChannelEnergyError(
-                    f"z = {z} is numerically in the spectrum of channel {alpha}",
-                    pair=alpha,
-                ) from exc
+            rhs.append(v.apply(rhs_vec))
+        try:
+            sols = _Resolvent(sys.split.h0 + v, z).solve(np.stack(rhs, axis=1))
+        except SingularMatrixError as exc:
+            raise ChannelEnergyError(
+                f"z = {z} is numerically in the spectrum of channel {alpha}",
+                pair=alpha,
+            ) from exc
+        for i, sol in zip(rows, sols.T):
+            out[i] = -sol
     return YakubovskyComponents(z=z, components=tuple(out))
 
 

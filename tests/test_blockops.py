@@ -8,6 +8,7 @@ from scipy.sparse.csgraph import structural_rank
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from fykit import blockops
 from fykit.blockops import (
     BlockOperator,
     Operator,
@@ -32,9 +33,15 @@ from fykit.errors import (
 
 from fykit.faddeev import assemble_faddeev_operator, faddeev_components, random_split
 from fykit.hardcore import assemble_hardcore3_pencil
-from fykit.lattice import LatticeModel, PairPotential, build_hamiltonian
+from fykit.lattice import (
+    LatticeModel,
+    PairPotential,
+    build_hamiltonian,
+    h0_spectrum,
+    hamiltonian_terms,
+)
 
-from conftest import random_symmetric
+from conftest import POTENTIALS, random_symmetric
 
 
 def test_operator_kinds_agree_on_apply():
@@ -349,6 +356,109 @@ def test_sparse_linear_solve_detects_singular_shift():
 def test_linear_solve_zero_rhs_is_zero():
     x = linear_solve(np.eye(3), 0.5, np.zeros(3))
     assert np.allclose(x, 0.0)
+
+
+def _gershgorin_lower(m):
+    """min_i (m_ii − Σ_{j≠i} |m_ij|) of a sparse matrix, computed densely."""
+    dense = m.toarray()
+    diag = np.diag(dense)
+    return float(np.min(diag - (np.abs(dense).sum(axis=1) - np.abs(diag))))
+
+
+@st.composite
+def spd_lattice_systems(draw):
+    """A lattice H0, channel H0 + Vα or H, and a shift 0.5–10 below its Gershgorin bound."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    # from these sizes up every lattice operator stores at most a third of its entries
+    L = draw(st.integers(min_value={2: 4, 3: 3, 4: 2}[n], max_value={2: 12, 3: 6, 4: 4}[n]))
+    model = LatticeModel(
+        N=n,
+        L=L,
+        boundary=draw(st.sampled_from(["box", "ring"])),
+        t=draw(st.floats(min_value=0.1, max_value=2.0)),
+        potential=draw(POTENTIALS),
+        core_radius=draw(st.sampled_from([c for c in (None, 0, 1) if c is None or c < L])),
+    )
+    h0, _, pots = hamiltonian_terms(model)
+    a = draw(st.sampled_from(["h0", "channel", "h"]))
+    op = {"h0": h0, "channel": h0 + pots[0], "h": build_hamiltonian(model)}[a]
+    z = _gershgorin_lower(op.to_sparse()) - draw(st.floats(min_value=0.5, max_value=10.0))
+    return op, z
+
+
+@settings(max_examples=60, deadline=None)
+@given(system=spd_lattice_systems(), seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_conjugate_gradients_match_superlu_below_the_gershgorin_bound(system, seed):
+    op, z = system
+    d = op.dim
+    shifted = sp.csc_matrix(op.to_sparse() - z * sp.identity(d))
+    rhs = np.random.default_rng(seed).standard_normal((d, 3))
+    resolvent = _Resolvent(op, z)
+    x = resolvent.solve(rhs)
+    assert "lu" not in resolvent.__dict__  # conjugate gradients certified every column
+    lu = spla.splu(shifted)
+    want = lu.solve(rhs)
+    for j in range(3):
+        col = rhs[:, j]
+        assert np.linalg.norm(shifted @ x[:, j] - col) <= 1e-12 * np.linalg.norm(col)
+        assert np.linalg.norm(x[:, j] - want[:, j]) <= 1e-12 * np.linalg.norm(want[:, j])
+        one = resolvent.solve(col)
+        assert np.linalg.norm(one - x[:, j]) <= 1e-12 * np.linalg.norm(x[:, j])
+    inverse = spla.LinearOperator(shifted.shape, matvec=lu.solve, rmatvec=lu.solve)
+    cond = spla.onenormest(inverse, t=1) * spla.norm(shifted, 1)
+    assert resolvent.cond_estimate() == pytest.approx(cond, rel=1e-10, abs=0.0)
+    assert "lu" not in resolvent.__dict__
+
+
+def test_resolvent_keeps_the_lu_path_off_the_certificate():
+    # fully populated random splits, a complex shift, and z at or above the
+    # bottom of σ(H0) are all solved by SuperLU, as before conjugate gradients
+    for seed in range(20):
+        split = random_split(4, 6, seed=seed)
+        z = float(np.linalg.eigvalsh(split.total().materialize())[0])
+        assert _Resolvent(split.h0, z).positive is None
+    model = LatticeModel(N=3, L=4, boundary="ring", potential=PairPotential.onsite(-4.0))
+    h0 = hamiltonian_terms(model)[0]
+    below = _gershgorin_lower(h0.to_sparse()) - 1.0
+    assert _Resolvent(h0, below).positive is not None
+    assert _Resolvent(h0, complex(below)).positive is None
+    assert _Resolvent(h0, 0.0).positive is None  # Gershgorin bound 0: not a proof
+    with pytest.raises(SingularMatrixError):
+        linear_solve(h0, 0.0, np.ones(h0.dim))  # the ring's constant mode
+    box = LatticeModel(N=3, L=4, potential=PairPotential.onsite(-4.0))
+    h0 = hamiltonian_terms(box)[0]
+    bottom = float(h0_spectrum(box)[0])
+    assert _Resolvent(h0, bottom).positive is None
+    with pytest.raises(SingularMatrixError):
+        linear_solve(h0, bottom, np.ones(h0.dim))
+    # diagonally dominant but not symmetric: no positive-definiteness proof
+    skew = sp.diags([-1.0, 4.0, -0.5], [-1, 0, 1], shape=(30, 30), format="csr")
+    assert _Resolvent(skew, -1.0).positive is None
+    x = linear_solve(skew, -1.0, np.ones(30))
+    assert np.linalg.norm(skew @ x + x - 1.0) <= 1e-12 * np.sqrt(30)
+
+
+def test_uncertified_columns_fall_back_to_the_lu_path(monkeypatch):
+    model = LatticeModel(N=3, L=4, potential=PairPotential.gaussian(-3.0, 1.0))
+    h0 = hamiltonian_terms(model)[0]
+    z = _gershgorin_lower(h0.to_sparse()) - 2.0
+    rhs = np.random.default_rng(5).standard_normal((h0.dim, 3))
+    real_cg, factored = blockops._conjugate_gradients, []
+
+    def spoiled(m, b):  # column 1 misses the residual target
+        x = real_cg(m, b)
+        x[:, 1] *= 1.0 + 1e-6
+        return x
+
+    monkeypatch.setattr(blockops, "_conjugate_gradients", spoiled)
+    monkeypatch.setattr(blockops, "_splu", lambda m, real=blockops._splu: factored.append(1) or real(m))
+    resolvent = _Resolvent(h0, z)
+    x = resolvent.solve(rhs)
+    assert factored == [1]
+    shifted = h0.to_sparse() - z * sp.identity(h0.dim)
+    for j in range(3):
+        assert np.linalg.norm(shifted @ x[:, j] - rhs[:, j]) <= 1e-12 * np.linalg.norm(rhs[:, j])
+    assert np.array_equal(x[:, [0, 2]], real_cg(resolvent.positive, rhs)[:, [0, 2]])
 
 
 def test_shift_invert_standard_problem():

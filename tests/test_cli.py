@@ -10,7 +10,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fykit import cli, hardcore, lattice
+from fykit import blockops, cli, hardcore, lattice
 from fykit.cli import _ALLOWED_KEYS, RunConfig, load_config
 from fykit.errors import ConfigError
 from fykit.faddeev import FewBodySplit
@@ -365,3 +365,36 @@ def test_one_parser_serves_every_main_call(monkeypatch, capsys):
     monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
     assert cli._build_parser() is not cli._build_parser()
     assert _main_runs(capsys, argvs) == cached
+
+
+def _spy_on_factorizations(monkeypatch, solver_name):
+    """Record, for every SuperLU factorization, whether it ran inside ``cli.<solver_name>``."""
+    calls, inside = [], []
+    real_splu, real_solver = blockops._splu, getattr(cli, solver_name)
+
+    def solver(*args, **kwargs):
+        inside.append(True)
+        try:
+            return real_solver(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(blockops, "_splu", lambda m: calls.append(bool(inside)) or real_splu(m))
+    monkeypatch.setattr(cli, solver_name, solver)
+    return calls
+
+
+def test_solve3_factors_only_h_minus_z(monkeypatch, capsys, tmp_path):
+    # the Lippmann–Schwinger check solves H0 − z by conjugate gradients
+    calls = _spy_on_factorizations(monkeypatch, "shift_invert_retry")
+    assert cli.main(["solve3", "--config", _preset_with_target(tmp_path, "tiny3", "auto")]) == 0
+    capsys.readouterr()
+    assert calls == [True]
+
+
+def test_solve4_factors_only_inside_the_solve(monkeypatch, capsys, gaussian4_cfg):
+    # the chain-sum check's faddeev_components solves H0 − z by conjugate gradients
+    calls = _spy_on_factorizations(monkeypatch, "solve_fourbody_ground_state")
+    assert cli.main(["solve4", "--config", gaussian4_cfg]) == 0
+    assert "total reconstruction defect" in capsys.readouterr().out
+    assert calls and all(calls)

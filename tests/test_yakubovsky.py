@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
+from fykit import blockops
 from fykit.blockops import dense_eigenvalues
 from fykit.combinatorics import all_permutations
 from fykit.errors import InvalidInputError, SpuriousRootWarning
@@ -92,15 +93,27 @@ def test_chain_components_solve_coupled_equations(tiny4_ground, tiny4_system):
     assert np.max(res) <= 1e-9
 
 
-def test_chain_components_factor_each_channel_once(monkeypatch, tiny4_ground, tiny4_system):
+def test_chain_components_solve_each_channel_once(monkeypatch, tiny4_ground, tiny4_system):
+    # one block solve per distinct channel H0 + Vα, with the pair's three chains
+    # as its columns; below every Gershgorin disc they need no factorization
     gs, fc, yc = tiny4_ground
-    calls = []
-    real = spla.splu
-    monkeypatch.setattr(spla, "splu", lambda *a, **k: calls.append(1) or real(*a, **k))
+    blocks, calls = [], []
+    real_solve, real_splu = blockops._Resolvent.solve, spla.splu
+    monkeypatch.setattr(blockops._Resolvent, "solve",
+                        lambda self, b: blocks.append(np.shape(b)) or real_solve(self, b))
+    monkeypatch.setattr(spla, "splu", lambda *a, **k: calls.append(1) or real_splu(*a, **k))
     again = yakubovsky_components(tiny4_system, gs.value, fc)
-    assert len(calls) == 6  # the six distinct channels H0 + Vα, not the 18 chains
+    assert blocks == [(tiny4_system.dim, 3)] * 6
+    assert calls == []
     for got, want in zip(again.components, yc.components):
         assert np.array_equal(got, want)
+    # a fully populated split takes the LU path: one factorization per channel
+    split = random_split(6, 5, seed=3)
+    vals, vecs = np.linalg.eigh(split.total().materialize())
+    fc = faddeev_components(split, vals[0], vecs[:, 0])
+    del calls[:]
+    yakubovsky_components(YakubovskySystem(split=split), vals[0], fc)
+    assert len(calls) == 6
 
 
 def test_chain_sums_collapse_to_pair_components(tiny4_ground, tiny4_system):
