@@ -398,3 +398,41 @@ def test_solve4_factors_only_inside_the_solve(monkeypatch, capsys, gaussian4_cfg
     assert cli.main(["solve4", "--config", gaussian4_cfg]) == 0
     assert "total reconstruction defect" in capsys.readouterr().out
     assert calls and all(calls)
+
+
+def test_output_path_key_writes_the_stdout_bytes(tmp_path):
+    keyed, flagged = tmp_path / "keyed.txt", tmp_path / "flagged.txt"
+    text = resources.files("fykit").joinpath("configs", "tiny3.cfg").read_text()
+    cfg = tmp_path / "tiny3-path.cfg"
+    cfg.write_text(text + f"path = {keyed}\n")  # [output] is the preset's last section
+    argv = CLI + ["oracle", "--config", str(cfg), "--k", "2"]
+    proc = subprocess.run(argv, capture_output=True, timeout=300, check=True)
+    assert proc.stdout and keyed.read_bytes() == proc.stdout
+    keyed.unlink()
+    proc = subprocess.run(argv + ["--output", str(flagged)], capture_output=True, timeout=300,
+                          check=True)
+    assert flagged.read_bytes() == proc.stdout
+    assert not keyed.exists()  # --output takes precedence over [output] path
+
+
+def test_solve4_skips_the_chain_sum_check_off_an_eigenvector(tmp_path):
+    # tol = 1e-3 stops the solve at residual 5.8e-4, above the 1e-6 eigenpair
+    # precondition of the chain-sum check's faddeev_components
+    cfg = tmp_path / "gauss4-loose.cfg"
+    cfg.write_text(
+        "[model]\nN = 4\nL = 3\nboundary = box\nt = 1.0\npotential.kind = gaussian\n"
+        "potential.params = -3.0, 1.0\ncore_radius = none\n\n"
+        "[solver]\ntarget = -11.0\ntol = 1e-3\nmax_iter = 200\n"
+    )
+    runs = [run_cli("solve4", "--config", str(cfg), "--format", "machine", check=False)
+            for _ in range(2)]
+    assert [p.returncode for p in runs] == [0, 0]
+    assert runs[0].stdout == runs[1].stdout
+    lines = runs[0].stdout.splitlines()
+    assert any(line.startswith("# reconstructed state is not an eigenvector")
+               and "chain-sum check skipped" in line for line in lines)
+    records = [json.loads(line) for line in data_lines(runs[0].stdout)]
+    sol = next(r for r in records if r["record"] == "solution")
+    assert f"{sol['eigenvalue']:.11f}" == "-10.73159577624"
+    assert 1e-6 < sol["residual"] <= 1e-3
+    assert not {r["record"] for r in records} & {"chain_sum", "totals"}
