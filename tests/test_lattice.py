@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from fykit.blockops import dense_eigenvalues
 from fykit.errors import InvalidInputError, ShiftSingularError, TooLargeError
-from fykit.combinatorics import Pair, all_permutations
+from fykit.combinatorics import Pair, all_permutations, permute_pair
 from fykit.lattice import (
     LatticeModel,
     PairPotential,
@@ -323,3 +323,32 @@ def test_permutation_conjugates_pair_potentials():
     um = u.matrix().toarray()
     # relabeling 1->2, 2->3 sends the (1,2) interaction to (2,3)
     assert np.allclose(um @ v12 @ um.T, v23)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=4),
+    size=st.integers(min_value=2, max_value=8),
+    boundary=st.sampled_from(["box", "ring"]),
+    t=st.floats(min_value=0.0, max_value=3.0),
+    potential=POTENTIALS,
+    core=st.sampled_from([None, 0, 1]),
+    perm=st.permutations(range(1, 5)),
+)
+def test_relabelings_permute_the_pair_potentials_and_commute_with_h0(
+    n, size, boundary, t, potential, core, perm
+):
+    # U_π Vα U_π⁻¹ = V_π(α) and U_π H0 = H0 U_π, exactly, on identical models
+    L = min(size, {2: 8, 3: 6, 4: 4}[n])
+    assume(core is None or core < L)
+    model = LatticeModel(N=n, L=L, boundary=boundary, t=t, potential=potential,
+                         core_radius=core)
+    perm = tuple(p for p in perm if p <= n)
+    u = build_permutation(model, perm).matrix()
+    h0, pairs, pots = hamiltonian_terms(model)
+    by_pair = dict(zip(pairs, pots))
+    for pair, v in by_pair.items():
+        image = by_pair[permute_pair(perm, pair)].to_sparse()
+        assert (u @ v.to_sparse() @ u.T != image).nnz == 0
+    h0 = h0.to_sparse()
+    assert (u @ h0 != h0 @ u).nnz == 0
