@@ -73,10 +73,12 @@ class FewBodySplit:
     """An operator H0 plus an ordered list of n >= 2 perturbation parts.
 
     ``channels``, when given, holds H0 and every channel operator H0 + Vα
-    already diagonalized: ``channels[0]`` for H0 and ``channels[1 + α]`` for
+    in diagonal form: ``channels[0]`` for H0 and ``channels[1 + α]`` for
     part α, each with ``spectrum()`` and ``solver(z)``, as
-    :func:`fykit.lattice.build_split` builds them. :meth:`channel_solver` and
-    :meth:`channel_spectrum` use them when present, and otherwise factor or
+    :func:`fykit.lattice.build_split` builds them (a pair channel's L²×L²
+    ``eigh`` runs on its first use, once per distinct potential, so only ``fy
+    solve4`` pays for it). :meth:`channel_solver` and :meth:`channel_spectrum`
+    use them when present, and otherwise factor or
     diagonalize the assembled operator. :meth:`total` is assembled once and
     lives as long as the split; ``dataclasses.replace`` makes one that sums anew.
     """

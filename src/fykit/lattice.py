@@ -24,6 +24,7 @@ different algorithm from the LU plus inverse iteration it steers.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -341,28 +342,33 @@ class KroneckerChannel:
     H0 + Vα is the Kronecker sum of the two-particle operator of α on the
     pair's L² sites and one one-particle hopping operator per spectator; H0
     is the N-fold Kronecker sum of the one-particle operator. So the
-    eigenpairs of those factors, ``one`` and ``two`` as ``eigh`` returns
-    them, diagonalize the channel: its eigenvectors are the Kronecker
-    products of the factors' and its eigenvalues every sum of one eigenvalue
-    per factor. Neither depends on z, so each shifted solve is two changes
-    of basis along the factor axes and one division.
+    eigenpairs of those factors, ``one`` as ``eigh`` returns them and, for a
+    pair, ``two`` a cached callable returning them, first called by the
+    first ``spectrum()`` or ``solver()``, diagonalize the channel: its
+    eigenvectors are the Kronecker products of the factors' and its
+    eigenvalues every sum of one eigenvalue per factor. Neither depends on
+    z, so each shifted solve is two changes of basis along the factor axes
+    and one division.
     """
 
     def __init__(self, model: LatticeModel, one: tuple, pair: Optional[Pair] = None,
-                 two: Optional[tuple] = None):
+                 two=None):
         n, L = model.N, model.L
+        self.axes = (L,) * n
         self.order = tuple(range(n))  # configuration axes, the pair's first
-        factors = [one] * n
+        self._factors = lambda: [one] * n
         if pair is not None:
             i, j = (m - 1 for m in pair.members)
             self.order = (i, j) + tuple(a for a in range(n) if a not in (i, j))
-            factors = [two] + [one] * (n - 2)
-        self.axes = (L,) * n
-        self.bases = [vecs for _, vecs in factors]
-        lam = np.zeros(())
-        for vals, _ in factors:
-            lam = np.add.outer(lam, vals)
-        self.eigenvalues = lam  # indexed by the factor axes
+            self._factors = lambda: [two()] + [one] * (n - 2)
+
+    @functools.cached_property
+    def bases(self) -> list:
+        return [vecs for _, vecs in self._factors()]
+
+    @functools.cached_property
+    def eigenvalues(self) -> np.ndarray:  # indexed by the factor axes
+        return functools.reduce(np.add.outer, [vals for vals, _ in self._factors()], np.zeros(()))
 
     def spectrum(self) -> np.ndarray:
         """Sorted eigenvalues with multiplicity."""
@@ -410,8 +416,9 @@ class _KroneckerSolver:
 def kronecker_channels(model: LatticeModel) -> tuple:
     """H0 and every H0 + Vα, in canonical pair order, as :class:`KroneckerChannel`.
 
-    They take one one-particle ``eigh`` and one two-particle ``eigh`` per
-    distinct pair potential, so all pairs of an identical model share one.
+    The one-particle ``eigh`` runs here, a pair channel's two-particle
+    ``eigh`` on its first use: once per distinct pair potential, shared by
+    every pair carrying it, and never for a caller that reads only H0.
     """
     one = _one_particle_eigh(model)
     two: dict = {}
@@ -419,7 +426,7 @@ def kronecker_channels(model: LatticeModel) -> tuple:
     for pair in model.pairs():
         potential = model.potential_for(pair)
         if potential not in two:
-            two[potential] = _two_particle_eigh(model, potential)
+            two[potential] = functools.cache(functools.partial(_two_particle_eigh, model, potential))
         channels.append(KroneckerChannel(model, one, pair, two[potential]))
     return tuple(channels)
 
