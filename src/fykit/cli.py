@@ -592,7 +592,6 @@ def cmd_hardcore3(args, out: _Out, cfg: RunConfig) -> int:
     bad = 0
     for core in cores:
         m = dataclasses.replace(model, core_radius=core)
-        rdim = restricted_space(m).shape[0]
         # Cores run one at a time, so every captured warning belongs to this row.
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -602,7 +601,7 @@ def cmd_hardcore3(args, out: _Out, cfg: RunConfig) -> int:
             )
         for w in caught:
             out.comment(f"warning: {w.message}")
-        oracle = result.ground_state
+        oracle, rdim = result.ground_state, result.restricted_dim
         z = float(np.real(result.eigen.value))
         diff = abs(z - oracle.value)
         ok = result.physical and diff <= 1e-8

@@ -138,13 +138,13 @@ def restricted_space(model: LatticeModel) -> np.ndarray:
 def _restricted_hamiltonian(
     model: LatticeModel, h: sp.csr_matrix
 ) -> tuple[np.ndarray, sp.csr_matrix]:
-    """The kept configurations and the model's sparse H, ``h``, sliced to them."""
+    """The kept configurations and the model's sparse H, ``h``, sliced to them (``h`` if no core)."""
     kept = restricted_space(model)
     if kept.shape[0] == 0:
         raise InvalidInputError(
             f"no configuration survives core radius {model.core_radius} on L={model.L}"
         )
-    return kept, h[kept][:, kept]
+    return kept, h[kept][:, kept] if model.has_core else h
 
 
 def _embed(model: LatticeModel, kept: np.ndarray, result: EigenResult) -> EigenResult:
@@ -189,11 +189,12 @@ def ground_state(model: LatticeModel) -> EigenResult:
     return _ground_state(model, build_hamiltonian(model).to_sparse())
 
 
-def _ground_state(model: LatticeModel, h: sp.csr_matrix) -> EigenResult:
-    """:func:`ground_state` of the model's H, already assembled as ``h``."""
+def _ground_state(model: LatticeModel, h: sp.csr_matrix, restricted=None) -> EigenResult:
+    """:func:`ground_state` of the model's H, already assembled as ``h``, and
+    of ``restricted``, its :func:`_restricted_hamiltonian`, when given."""
     if not model.has_core:
         return _lanczos_ground_state(h, "lanczos")
-    kept, hr = _restricted_hamiltonian(model, h)
+    kept, hr = restricted or _restricted_hamiltonian(model, h)
     return _embed(model, kept, _lanczos_ground_state(hr, "restricted-lanczos"))
 
 
@@ -217,13 +218,21 @@ class HardcorePencil:
     surface_only: bool
 
 
-def _constrain(block: Operator, keep: np.ndarray) -> Operator:
-    """K·F + (I − K) for K = diag(keep): rows where keep is 0 become unit rows."""
+def _constrain(block: Operator, owned: np.ndarray) -> Operator:
+    """K·F + (I − K) for K = diag(~owned), in one pass: kept rows are copied
+    without stored zeros (no −0 reaches --dump-matrix), owned rows become unit rows."""
     if block.kind == "diagonal":
-        return Operator.diagonal(keep * block.diagonal_data + (1.0 - keep))
-    m = (sp.diags(keep) @ block._csr() + sp.diags(1.0 - keep)).tocsr()
-    m.eliminate_zeros()  # masked entries are stored as ±0; -0 would reach --dump-matrix
-    return Operator.sparse(m)
+        return Operator.diagonal(np.where(owned, 1.0, block.diagonal_data + 0.0))
+    m, d = block._csr(), block.dim
+    rows = np.repeat(np.arange(d), np.diff(m.indptr))
+    take = ~owned[rows] & (m.data != 0)
+    unit = np.flatnonzero(owned)
+    rows = np.concatenate([rows[take], unit])
+    order = np.argsort(rows, kind="stable")  # two sorted runs: kept rows, then owned ones
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=d))])
+    data = np.concatenate([m.data[take], np.ones(unit.size)])[order]
+    cols = np.concatenate([m.indices[take], unit])[order]
+    return Operator.sparse(sp.csr_matrix((data, cols, indptr), shape=(d, d)))
 
 
 def assemble_hardcore3_pencil(model: LatticeModel, surface_only: bool = False) -> HardcorePencil:
@@ -265,15 +274,15 @@ def _pencil_and_split(
         claimed[sites] += 1
         owned = sites[owner[sites] == -1]
         owner[owned] = i
-        constraint_rows.update({(pair.members, int(s)): i * d + int(s) for s in owned})
+        constraint_rows.update({(pair.members, s): i * d + s for s in owned.tolist()})
 
-    keep = [(owner != i).astype(np.float64) for i in range(3)]
+    owned = [owner == i for i in range(3)]
     a = BlockOperator(
-        [[_constrain(block, keep[i]) for block in row] for i, row in enumerate(faddeev_op.entries)],
+        [[_constrain(block, owned[i]) for block in row] for i, row in enumerate(faddeev_op.entries)],
         block_dim=d,
     )
     b = BlockOperator(
-        [[Operator.diagonal(keep[i]) if i == j else None for j in range(3)] for i in range(3)],
+        [[Operator.diagonal(1.0 - owned[i]) if i == j else None for j in range(3)] for i in range(3)],
         block_dim=d,
     )
     pencil = HardcorePencil(a=a, b=b, constraint_rows=constraint_rows,
@@ -290,7 +299,8 @@ class Hardcore3Result:
     restricted space. ``physical`` is the conjunction of both filters at
     their documented thresholds; a False value means the solver landed on an
     auxiliary pencil root. ``ground_state`` is :func:`ground_state` of the
-    same H, the default target and the value to compare against.
+    same H, the default target and the value to compare against;
+    ``restricted_dim`` counts the configurations outside every core.
     """
 
     eigen: EigenResult
@@ -301,6 +311,7 @@ class Hardcore3Result:
     physical: bool
     target_used: float
     ground_state: EigenResult
+    restricted_dim: int
 
 
 def solve_hardcore3(
@@ -332,8 +343,8 @@ def solve_hardcore3(
     """
     pencil, split, owner = _pencil_and_split(model, surface_only)
     h = split.total().to_sparse()
-    gs = _ground_state(model, h)
-    kept = restricted_space(model)
+    kept, hr = _restricted_hamiltonian(model, h)
+    gs = _ground_state(model, h, (kept, hr))
     target = float(gs.value if target is None else target)
 
     a, b = _solver_matrix(pencil.a.flatten()), _solver_matrix(pencil.b.flatten())
@@ -359,7 +370,6 @@ def solve_hardcore3(
     else:
         core_abs = float(np.max(np.abs(psi[in_core]))) if in_core.any() else 0.0
         core_vanishing = core_abs / pnorm
-        hr = h[kept][:, kept]
         psir = psi[kept]
         rnorm = np.linalg.norm(psir)
         if rnorm == 0.0:
@@ -387,6 +397,7 @@ def solve_hardcore3(
         physical=physical,
         target_used=target,
         ground_state=gs,
+        restricted_dim=int(kept.shape[0]),
     )
 
 

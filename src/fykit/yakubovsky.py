@@ -109,11 +109,11 @@ class YakubovskySystem:
                 f"a four-body system needs 6 pair potentials, got {self.split.n}"
             )
 
-    @property
+    @functools.cached_property
     def pairs(self) -> list[Pair]:
         return enumerate_pairs(4)
 
-    @property
+    @functools.cached_property
     def chains(self) -> list[Chain]:
         return enumerate_chains(4)
 
