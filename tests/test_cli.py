@@ -5,7 +5,10 @@ import subprocess
 import sys
 from importlib import resources
 
+import dataclasses
+
 import pytest
+import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -14,6 +17,7 @@ from fykit import blockops, cli, hardcore, lattice
 from fykit.cli import _ALLOWED_KEYS, RunConfig, load_config
 from fykit.errors import ConfigError
 from fykit.faddeev import FewBodySplit
+from fykit.lattice import PairPotential
 
 CLI = [sys.executable, "-m", "fykit.cli"]
 
@@ -390,6 +394,46 @@ def test_solve3_factors_only_h_minus_z(monkeypatch, capsys, tmp_path):
     assert cli.main(["solve3", "--config", _preset_with_target(tmp_path, "tiny3", "auto")]) == 0
     capsys.readouterr()
     assert calls == [True]
+
+
+def _spy_on_eigh(monkeypatch):
+    """Record the order of every matrix ``scipy.linalg.eigh`` diagonalizes."""
+    sizes, real = [], sla.eigh
+    monkeypatch.setattr(sla, "eigh", lambda a, *args, **kw: sizes.append(a.shape[0]) or real(
+        a, *args, **kw))
+    return sizes
+
+
+@pytest.mark.parametrize("argv, sizes", [
+    (["hardcore3", "--sweep", "none,0,1"], [6, 6, 6]),
+    (["solve3"], [6]),
+], ids=["hardcore3", "solve3"])
+def test_three_body_commands_diagonalize_no_pair_channel(monkeypatch, capsys, argv, sizes):
+    # neither command reads a pair channel, so only H0's L×L factor (L = 6)
+    # is diagonalized, once per model, and never the L²×L² pair factor
+    cfg = str(resources.files("fykit").joinpath("configs", "tiny3.cfg"))
+    seen = _spy_on_eigh(monkeypatch)
+    assert cli.main(argv + ["--config", cfg]) == 0
+    capsys.readouterr()
+    assert seen == sizes
+
+
+@pytest.mark.parametrize("per_pair, pair_factors", [
+    (None, 1),
+    ({(1, 2): PairPotential.onsite(-5.0), (2, 4): PairPotential.gaussian(-3.0, 1.0),
+      (3, 4): PairPotential.onsite(-5.0)}, 3),
+], ids=["identical", "per_pair"])
+def test_solve4_diagonalizes_each_distinct_pair_factor_once(monkeypatch, capsys, tmp_path,
+                                                             per_pair, pair_factors):
+    # tiny4 (L = 4): one 4×4 factor for H0, and one 16×16 pair factor per
+    # distinct potential, shared by every pair that carries it
+    real_split = cli.build_split
+    monkeypatch.setattr(cli, "build_split", lambda model: real_split(
+        dataclasses.replace(model, per_pair=per_pair)))
+    seen = _spy_on_eigh(monkeypatch)
+    assert cli.main(["solve4", "--config", _preset_with_target(tmp_path, "tiny4", "-28.6")]) == 0
+    assert "total reconstruction defect" in capsys.readouterr().out
+    assert sorted(seen) == [4] + [16] * pair_factors
 
 
 def test_solve4_factors_only_inside_the_solve(monkeypatch, capsys, gaussian4_cfg):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import POTENTIALS
-from fykit import blockops
+from fykit import blockops, lattice
 from fykit.combinatorics import Pair
 from fykit.errors import InvalidInputError, SpuriousRootWarning
 from fykit.faddeev import (
@@ -30,6 +31,7 @@ from fykit.hardcore import (
     solve_hardcore3,
 )
 from fykit.lattice import (
+    KroneckerChannel,
     LatticeModel,
     PairPotential,
     dense_oracle_spectrum,
@@ -233,6 +235,49 @@ def test_reduced_pencil_solve_matches_a_dense_solve(model, surface_only, data):
     backward = np.linalg.norm(shifted @ got - rhs) / (
         np.linalg.norm(shifted, 2) * np.linalg.norm(got) + np.linalg.norm(rhs))
     assert backward <= 1e-14
+
+
+@settings(max_examples=40, deadline=None)
+@given(model=pencil_models(), surface_only=st.booleans(), data=st.data())
+def test_one_pass_pencil_and_lazy_channels_match_their_references(model, surface_only, data):
+    pencil, split, owner = _pencil_and_split(model, surface_only)
+    # each block row i of A is K_i·F + (I − K_i), K_i zero on the sites i owns
+    want = []
+    for i, row in enumerate(assemble_faddeev_operator(split).entries):
+        keep = (owner != i).astype(np.float64)
+        want.append([keep[:, None] * f.materialize() + np.diag(1.0 - keep) for f in row])
+    assert pencil.a.flatten().materialize().tobytes() == np.block(want).tobytes()
+    # the split's channels defer the pair factors' eigh; eager ones hold them from the start
+    one = lattice._one_particle_eigh(model)
+    eager = [KroneckerChannel(model, one)]
+    for pair in model.pairs():
+        two = lattice._two_particle_eigh(model, model.potential_for(pair))
+        eager.append(KroneckerChannel(model, one, pair, lambda two=two: two))
+    b = np.random.default_rng(model.dimension).standard_normal((model.dimension, 2))
+    for lazy, ref in zip(split.channels, eager):
+        spectrum = ref.spectrum()
+        assert lazy.spectrum().tobytes() == spectrum.tobytes()
+        z = float(spectrum[0]) - data.draw(st.floats(min_value=0.1, max_value=2.0), label="gap")
+        assert lazy.solver(z).solve(b).tobytes() == ref.solver(z).solve(b).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=pencil_models())
+def test_solve_hardcore3_at_the_auto_target_finds_the_restricted_ground_state(model):
+    assume(restricted_space(model).size)
+    oracle = restricted_oracle(model, 1)[0].value
+    gap = np.min(np.abs(h0_spectrum(model) - oracle))
+    # an E0 in σ(H0) is a defective pencil root (free hard-core particles),
+    # which the inverse iteration need not reach
+    assume(gap > 1e-6)
+    with warnings.catch_warnings(record=True):
+        result = solve_hardcore3(model)
+    # a root accepted as physical is always E0; a nearly free model, whose E0
+    # lies within about 1e-4 relative of a defective root, may land off it
+    # but is then flagged
+    assert result.physical or gap <= 1e-3 * (1.0 + abs(oracle))
+    if result.physical:
+        assert abs(np.real(result.eigen.value) - oracle) <= 1e-8
 
 
 @pytest.mark.parametrize("boundary, L, core, pot, surface_only, tol", [

@@ -191,8 +191,9 @@ def test_auto_target_diagonalizes_only_the_ground_state(monkeypatch, capsys, tmp
     eigh_calls = _spy_on_eigh(monkeypatch)
     eigsh_calls = _spy_on_eigsh(monkeypatch)
     line = _auto_target_line(capsys, cfg, "1")
-    # only the one- and two-particle channel factors (L = 6, L² = 36), never H
-    assert eigh_calls == [(6, None), (36, None)]
+    # only the one-particle factor of H0's channel (L = 6): never H, and
+    # solve3 reads no pair channel, so the L² = 36 factor never runs
+    assert eigh_calls == [(6, None)]
     assert eigsh_calls == [(1, 20)]
     assert len(line) == 1 and line[0].startswith("# auto target from lanczos oracle: ")
     # the oracle's start vector is its own, not the solver's seed
