@@ -112,6 +112,17 @@ def _as_2d_array(a) -> np.ndarray:
     return arr.astype(np.complex128 if np.iscomplexobj(arr) else np.float64, copy=False)
 
 
+def _diagonal_csr(d: np.ndarray) -> sp.csr_matrix:
+    """``sp.diags(d).tocsr()`` of the 1-D array d, built directly from arrays:
+    d's nonzero entries on the diagonal (zeros, −0.0 included, are dropped),
+    with scipy's int32 indices."""
+    nonzero = d != 0
+    indptr = np.zeros(d.size + 1, dtype=np.int32)
+    np.cumsum(nonzero, out=indptr[1:])
+    cols = np.flatnonzero(nonzero)
+    return sp.csr_matrix((d[cols], cols.astype(np.int32), indptr), shape=(d.size, d.size))
+
+
 class Operator:
     """A square linear map with one of two storage kinds.
 
@@ -193,7 +204,7 @@ class Operator:
         """This operator as CSR, the stored matrix itself when sparse: only for
         reads whose result is a new matrix anyway."""
         if self.kind == "diagonal":
-            return sp.diags(self._data).tocsr()
+            return _diagonal_csr(self._data)
         return self._data
 
     @property
@@ -481,7 +492,7 @@ class _Resolvent:
     def __init__(self, a, z):
         mat = _solver_matrix(a)
         self.dtype = np.result_type(mat.dtype, type(z))
-        self.shifted = (mat - z * sp.identity(mat.shape[0])).tocsr()
+        self.shifted = mat - _diagonal_csr(z * np.ones(mat.shape[0]))
         self.positive = self.shifted if _gershgorin_positive(self.shifted) else None
 
     @functools.cached_property

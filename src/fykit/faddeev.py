@@ -74,7 +74,8 @@ class FewBodySplit:
 
     ``channels``, when given, holds H0 and every channel operator H0 + Vα
     in diagonal form: ``channels[0]`` for H0 and ``channels[1 + α]`` for
-    part α, each with ``spectrum()`` and ``solver(z)``, as
+    part α, each with ``spectrum()``, ``solver(z, companions)`` and a
+    ``basis_id`` shared by channels of one eigenbasis, as
     :func:`fykit.lattice.build_split` builds them (a pair channel's L²×L²
     ``eigh`` runs on its first use, once per distinct potential, so only ``fy
     solve4`` pays for it). :meth:`channel_solver` and :meth:`channel_spectrum`
@@ -118,6 +119,18 @@ class FewBodySplit:
         if self.channels is not None:
             return self.channels[0 if part is None else part + 1].solver(z)
         return _shifted_factor(_solver_matrix(self._channel(part)), None, z)
+
+    def channel_groups(self, z) -> list:
+        """Every (H0 + Vα − z)⁻¹ as ``(parts, solver)``, one group per ``basis_id``
+        (each part alone without ``channels``); ``solver.solve(b)`` solves each
+        part of ``parts``, in order, on an equal share of b's columns."""
+        if self.channels is None:
+            return [([part], self.channel_solver(z, part)) for part in range(self.n)]
+        pair_channels, groups = self.channels[1:], {}
+        for part, channel in enumerate(pair_channels):
+            groups.setdefault(channel.basis_id, []).append(part)
+        return [(parts, pair_channels[parts[0]].solver(z, [pair_channels[p] for p in parts[1:]]))
+                for parts in groups.values()]
 
     def channel_spectrum(self, part: Optional[int] = None) -> np.ndarray:
         """The eigenvalues of H0, or of H0 + V_part.

@@ -348,13 +348,15 @@ class KroneckerChannel:
     eigenvectors are the Kronecker products of the factors' and its
     eigenvalues every sum of one eigenvalue per factor. Neither depends on
     z, so each shifted solve is two changes of basis along the factor axes
-    and one division.
+    and one division. Channels built from the same factors (the pairs of
+    one potential) share ``basis_id``, and one :meth:`solver` batches them.
     """
 
     def __init__(self, model: LatticeModel, one: tuple, pair: Optional[Pair] = None,
                  two=None):
         n, L = model.N, model.L
         self.axes = (L,) * n
+        self.basis_id = (id(one), id(two))  # both stay alive in the factor closures
         self.order = tuple(range(n))  # configuration axes, the pair's first
         self._factors = lambda: [one] * n
         if pair is not None:
@@ -374,43 +376,59 @@ class KroneckerChannel:
         """Sorted eigenvalues with multiplicity."""
         return np.sort(self.eigenvalues, axis=None)
 
-    def solver(self, z) -> "_KroneckerSolver":
+    def solver(self, z, companions: Sequence["KroneckerChannel"] = ()) -> "_KroneckerSolver":
         """(channel − z)⁻¹ as an object with ``solve(b)``.
 
-        Raises :class:`ShiftSingularError` when min |λ − z| ≤
+        With ``companions`` (channels of this ``basis_id``) it solves this
+        channel and each companion, in order, on an equal share of b's
+        columns. Raises :class:`ShiftSingularError` when min |λ − z| ≤
         1e−300 · max(max |λ − z|, 1), i.e. z is an eigenvalue.
         """
         gap = self.eigenvalues - z
         absgap = np.abs(gap)
         if absgap.min() <= 1e-300 * max(absgap.max(), 1.0):
             raise ShiftSingularError(f"shift {z} is an eigenvalue of the channel")
-        return _KroneckerSolver(self, 1.0 / gap)
+        return _KroneckerSolver((self, *companions), 1.0 / gap)
 
-    def _apply(self, weights: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Q diag(weights) Qᵀ b for the channel's eigenbasis Q; b has one or several columns.
 
-        Each change of basis contracts one factor axis in a single matrix
-        product and rotates it to the other end of the layout, so the
-        columns end where they started and nothing is copied in between.
-        """
-        b = np.asarray(b)
-        n = len(self.axes)
-        x = b.reshape(self.axes + (-1,)).transpose(self.order + (n,))
-        for u in self.bases:  # Qᵀ: (g0, ..., columns) → (columns, g0, ...)
-            x = x.reshape(u.shape[0], -1).T @ u
-        x = x.reshape(-1, weights.size) * weights.ravel()
-        for u in reversed(self.bases):  # Q: (columns, g0, ...) → (g0, ..., columns)
-            x = u @ x.reshape(-1, u.shape[0]).T
-        x = x.reshape(self.axes + (-1,)).transpose(tuple(np.argsort(self.order)) + (n,))
-        return x.reshape(b.shape)
+@functools.lru_cache(maxsize=16)
+def _share_index(axes: tuple, orders: tuple, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat gather (d × m·k) and scatter (m·k × d) indices: column j, at
+    configuration-axes position f permuted by ``orders[j // k]``, moves
+    between the flattened transposed columns and the pair-first layout."""
+    d, cols = math.prod(axes), k * len(orders)
+    perm = np.repeat([np.arange(d).reshape(axes).transpose(o).ravel() for o in orders], k, axis=0)
+    col = np.arange(cols)
+    gather, scatter = perm.T + col * d, np.argsort(perm, axis=1) * cols + col[:, None]
+    gather.flags.writeable = scatter.flags.writeable = False  # shared through the cache
+    return gather, scatter
 
 
 class _KroneckerSolver:
-    def __init__(self, channel: KroneckerChannel, inverse_gap: np.ndarray):
-        self.channel, self.inverse_gap = channel, inverse_gap
+    def __init__(self, channels: tuple, inverse_gap: np.ndarray):
+        self.channels, self.inverse_gap = channels, inverse_gap
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        return self.channel._apply(self.inverse_gap, b)
+        """Q diag(1/(λ − z)) Qᵀ b for the channels' eigenbasis Q, one or several columns each.
+
+        b's columns split evenly between the channels, and one gather brings
+        each share to its channel's pair-first axis order, where all share
+        one basis. Each change of basis contracts one factor axis in a single
+        matrix product and rotates it to the other end of the layout; one
+        scatter restores the configuration order.
+        """
+        lead, weights = self.channels[0], self.inverse_gap
+        b = np.asarray(b)
+        cols = b.reshape(b.shape[0], -1).T
+        gather, scatter = _share_index(lead.axes, tuple(ch.order for ch in self.channels),
+                                       cols.shape[0] // len(self.channels))
+        x = np.ravel(cols)[gather]  # (g0, ..., columns)
+        for u in lead.bases:  # Qᵀ: (g0, ..., columns) → (columns, g0, ...)
+            x = x.reshape(u.shape[0], -1).T @ u
+        x = x.reshape(-1, weights.size) * weights.ravel()
+        for u in reversed(lead.bases):  # Q: (columns, g0, ...) → (g0, ..., columns)
+            x = u @ x.reshape(-1, u.shape[0]).T
+        return np.ravel(x)[scatter].T.reshape(b.shape)
 
 
 def kronecker_channels(model: LatticeModel) -> tuple:
@@ -510,13 +528,14 @@ def _lanczos_ground_state(h: sp.spmatrix, method: str) -> EigenResult:
         # potential) or degenerate across hard-core ordering sectors can
         # stall a 20-vector basis or leave its Ritz vector far off its
         # estimate; the same start then runs again on larger bases (512
-        # spans the whole space of every model up to L^N = 512).
+        # spans the whole space of every model up to L^N = 512). ARPACK stops a
+        # decade inside the certificate: machine ε costs up to 2.6× the products.
         for ncv in (20, 128, 512):
             rng = np.random.default_rng(_LANCZOS_SEED)
             v0 = rng.uniform(-1.0, 1.0, h.shape[0])
             try:
-                vals, vecs = spla.eigsh(shifted, k=1, which="SA", tol=0, v0=v0, rng=rng,
-                                        ncv=min(ncv, h.shape[0]))
+                vals, vecs = spla.eigsh(shifted, k=1, which="SA", tol=_LANCZOS_RESIDUAL_TOL / 10,
+                                        v0=v0, rng=rng, ncv=min(ncv, h.shape[0]))
             except spla.ArpackNoConvergence:
                 continue
             value, vec = float(vals[0]) - sigma, vecs[:, 0]

@@ -117,6 +117,19 @@ class YakubovskySystem:
     def chains(self) -> list[Chain]:
         return enumerate_chains(4)
 
+    @functools.cached_property
+    def pair_rows(self) -> np.ndarray:
+        """6×3 chain indices: row p lists the chains of the p-th pair."""
+        return np.array([[i for i, c in enumerate(self.chains) if c.pair == p] for p in self.pairs])
+
+    @functools.cached_property
+    def chain_others(self) -> np.ndarray:
+        """18×2 pair indices: the other pairs inside each chain's partition; a 2+2
+        chain's one is padded with 6, for a zero row after the six pair sums."""
+        others = [[self.pairs.index(b) for b in c.partition.internal_pairs() if b != c.pair]
+                  for c in self.chains]
+        return np.array([row + [6] * (2 - len(row)) for row in others])
+
     @property
     def dim(self) -> int:
         return self.split.dim
@@ -159,20 +172,12 @@ def yakubovsky_components(
     """
     if faddeev.n != 6:
         raise InvalidInputError(f"need the 6 pair components, got {faddeev.n}")
-    pair_comp = dict(zip(sys.pairs, faddeev.components))
-    chains = sys.chains
-    out = [None] * len(chains)
-    for alpha, v in zip(sys.pairs, sys.split.potentials):
-        rows = [i for i, chain in enumerate(chains) if chain.pair == alpha]
-        rhs = []
-        for i in rows:
-            rhs_vec = np.zeros(sys.dim)
-            for beta in chains[i].partition.internal_pairs():
-                if beta != alpha:
-                    rhs_vec = rhs_vec + pair_comp[beta]
-            rhs.append(v.apply(rhs_vec))
+    comps = np.concatenate([faddeev.components, np.zeros((1, sys.dim))])
+    others = comps[sys.chain_others].sum(axis=1)
+    out = [None] * len(sys.chains)
+    for alpha, rows, v in zip(sys.pairs, sys.pair_rows, sys.split.potentials):
         try:
-            sols = _Resolvent(sys.split.h0 + v, z).solve(np.stack(rhs, axis=1))
+            sols = _Resolvent(sys.split.h0 + v, z).solve(v.apply(np.stack(others[rows], axis=1)))
         except SingularMatrixError as exc:
             raise ChannelEnergyError(
                 f"z = {z} is numerically in the spectrum of channel {alpha}",
@@ -204,17 +209,9 @@ def chain_sum_consistency(
         raise InvalidInputError(f"need the 6 pair components, got {faddeev.n}")
     if comps.z != faddeev.z:
         raise InvalidInputError(f"mismatched energies: {comps.z} vs {faddeev.z}")
-    by_chain = comps.by_chain(sys.chains)
-    per_pair = np.empty(6)
-    for i, alpha in enumerate(sys.pairs):
-        acc = np.zeros(sys.dim)
-        for chain, vec in by_chain.items():
-            if chain.pair == alpha:
-                acc = acc + vec
-        psi_alpha = faddeev.components[i]
-        per_pair[i] = np.linalg.norm(acc - psi_alpha) / max(
-            np.linalg.norm(psi_alpha), _NORM_FLOOR
-        )
+    sums = np.asarray(comps.components)[sys.pair_rows].sum(axis=1)
+    per_pair = np.array([np.linalg.norm(s - psi) / max(np.linalg.norm(psi), _NORM_FLOOR)
+                         for s, psi in zip(sums, faddeev.components)])
     psi = faddeev.total()
     total = np.linalg.norm(comps.total() - psi) / max(np.linalg.norm(psi), _NORM_FLOOR)
     return ChainSumReport(per_pair=per_pair, total_defect=float(total))
@@ -298,36 +295,35 @@ class _PairSumFactor:
     system (F − z) s = S b (S sums the chain blocks of each pair), solved
     through H − z and H0 − z; then x_{aα} = (H0 + Vα − z)⁻¹ (b_{aα} − Vα
     Σ_{(β≠α)⊂a} s_β). Every step is exact and works on nothing larger than
-    d: H − z is factored, and H0 − z and the channels go through
-    :meth:`FewBodySplit.channel_solver`, which diagonalizes them through
-    their Kronecker structure for a lattice split and factors them otherwise.
-    So A − z is singular exactly when H − z, H0 − z or a channel is, and that
-    step raises :class:`ShiftSingularError`.
+    d: H − z is factored, and H0 − z and the channels are diagonalized
+    through their Kronecker structure for a lattice split and factored
+    otherwise. So A − z is singular exactly when H − z, H0 − z or a channel
+    is, and that step raises :class:`ShiftSingularError`. The sums are
+    fancy-index sums over the system's tables, each potential is applied
+    once to its three chains' columns, and the channels are solved once per
+    :meth:`FewBodySplit.channel_groups` group (all six pairs of an identical
+    lattice model in one).
     """
 
     def __init__(self, sys: YakubovskySystem, z):
-        split, pairs, chains = sys.split, sys.pairs, sys.chains
-        self.potentials = split.potentials
-        # chain indices of each pair, and the other pairs inside each chain's partition
-        self.pair_rows = [[i for i, c in enumerate(chains) if c.pair == p] for p in pairs]
-        self.chain_others = [
-            [pairs.index(b) for b in c.partition.internal_pairs() if b != c.pair]
-            for c in chains
-        ]
-        self.faddeev = _FaddeevShiftedFactor(split, z)
-        self.channels = [split.channel_solver(z, part) for part in range(split.n)]
+        self.potentials, self.pair_rows = sys.split.potentials, sys.pair_rows
+        self.others = sys.chain_others[sys.pair_rows]  # 6×3×2, by pair
+        self.faddeev = _FaddeevShiftedFactor(sys.split, z)
+        self.groups = sys.split.channel_groups(z)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        blocks = np.asarray(b).reshape(len(self.chain_others), -1)
-        pair_rhs = np.stack([blocks[rows].sum(axis=0) for rows in self.pair_rows])
-        sums = self.faddeev.solve(pair_rhs)
-        out = np.empty(blocks.shape, dtype=np.result_type(blocks, sums))
-        for rows, channel, v in zip(self.pair_rows, self.channels, self.potentials):
-            rhs = np.stack(
-                [blocks[i] - v.apply(sums[self.chain_others[i]].sum(axis=0)) for i in rows],
-                axis=1,
-            )
-            out[rows] = channel.solve(rhs).T
+        blocks = np.asarray(b).reshape(self.pair_rows.size, -1)
+        by_pair = blocks[self.pair_rows]  # 6×3×d
+        sums = self.faddeev.solve(by_pair.sum(axis=1))
+        # the padding row is −0.0, which leaves every sum it enters bit for bit as it was
+        padded = np.concatenate([sums, np.full((1, sums.shape[1]), -0.0)])
+        coupled = padded[self.others].sum(axis=2)
+        rhs = by_pair - np.stack([v.apply(c.T).T for v, c in zip(self.potentials, coupled)])
+        out = np.empty(blocks.shape, dtype=rhs.dtype)
+        for parts, solver in self.groups:
+            rows = self.pair_rows[parts]
+            cols = solver.solve(rhs[parts].reshape(rows.size, -1).T)
+            out[rows] = cols.T.reshape(rows.shape + (-1,))
         return out.ravel()
 
 
