@@ -591,6 +591,47 @@ def test_sums_and_flattens_copy_no_operand(monkeypatch):
                           np.diag(np.arange(5.0)) - split.h0.materialize())
 
 
+_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5]),
+                     st.floats(min_value=-1e3, max_value=1e3))
+
+
+@st.composite
+def _entry_arrays(draw, n, complex_entries):
+    re = draw(st.lists(_ENTRIES, min_size=n, max_size=n))
+    if not complex_entries:
+        return np.array(re, dtype=np.float64)
+    im = draw(st.lists(_ENTRIES, min_size=n, max_size=n))
+    return np.array([complex(a, b) for a, b in zip(re, im)])
+
+
+def _csr_layout(m):
+    return type(m), m.shape, m.data.dtype, m.data.tobytes(), m.indices.tobytes(), m.indptr.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=6),
+    complex_d=st.booleans(),
+    complex_h=st.booleans(),
+    z=st.one_of(
+        st.sampled_from([0.0, -0.0, 1.5, complex(1.0, -0.0), complex(-0.0, 0.0)]),
+        st.floats(min_value=-10.0, max_value=10.0),
+        st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False),
+    ),
+    data=st.data(),
+)
+def test_direct_diagonal_csr_is_bitwise_the_dia_round_trip(n, complex_d, complex_h, z, data):
+    d = data.draw(_entry_arrays(n, complex_d), label="d")
+    assert _csr_layout(blockops._diagonal_csr(d)) == _csr_layout(sp.diags(d).tocsr())
+    dense = data.draw(_entry_arrays(n * n, complex_h), label="h")
+    dense[data.draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n), label="holes")] = 0.0
+    h = sp.csr_matrix(dense.reshape(n, n))
+    # H0 + V, and A − z·I as the resolvent builds it
+    assert _csr_layout((Operator.sparse(h) + Operator.diagonal(d))._data) == _csr_layout(
+        h + sp.diags(d).tocsr())
+    assert _csr_layout(_Resolvent(h, z).shifted) == _csr_layout((h - z * sp.identity(n)).tocsr())
+
+
 def test_shift_invert_failure_carries_diagnostics():
     rng = np.random.default_rng(41)
     m = random_symmetric(rng, 12)

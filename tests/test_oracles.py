@@ -17,6 +17,7 @@ from fykit.blockops import Operator
 from fykit.errors import InvalidInputError, SolverFailureError, TooLargeError
 from fykit.hardcore import ground_state, restricted_oracle, restricted_space
 from fykit.lattice import (
+    _LANCZOS_RESIDUAL_TOL,
     LatticeModel,
     PairPotential,
     _lanczos_ground_state,
@@ -26,8 +27,8 @@ from fykit.lattice import (
 
 
 @st.composite
-def models(draw, max_n=3, max_dim=343):
-    n = draw(st.integers(min_value=1, max_value=max_n))
+def models(draw, max_n=3, max_dim=343, min_n=1):
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
     largest = max(L for L in range(2, max_dim + 1) if L ** n <= max_dim)
     return LatticeModel(
         N=n,
@@ -114,6 +115,23 @@ def test_lanczos_ground_state_matches_eigvalsh(model):
     assert r.vector.shape == (model.dimension,)
     assert abs(np.linalg.norm(r.vector) - 1.0) <= 1e-12
     assert np.all(r.vector[_in_core(model, kept)] == 0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=models(min_n=3))
+def test_lanczos_stopped_short_of_machine_precision_still_meets_its_certificate(model):
+    kept = restricted_space(model)
+    if kept.shape[0] == 0:
+        return
+    r = ground_state(model)
+    lam = restricted_oracle(model, 1)[0].value
+    assert abs(r.value - lam) <= 1e-12 * (1.0 + abs(lam))
+    # the certificate: the recomputed residual against the Ritz value of h + σI
+    h = build_hamiltonian(model).to_sparse()[kept][:, kept]
+    diag = h.diagonal()
+    sigma = 1.0 - np.min(diag + abs(diag) - abs(h).sum(axis=1).A1)
+    vec = r.vector[kept]
+    assert np.linalg.norm(h @ vec - r.value * vec) <= _LANCZOS_RESIDUAL_TOL * (r.value + sigma)
 
 
 @pytest.mark.parametrize("h", [sp.csr_matrix([[2.5]]), sp.csr_matrix((4, 4)),

@@ -8,7 +8,9 @@ import scipy.sparse.linalg as spla
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fykit import cli
+from conftest import POTENTIALS
+from fykit import cli, lattice
+from fykit.combinatorics import TwoClusterPartition
 from fykit.faddeev import (
     FewBodySplit,
     _FaddeevShiftedFactor,
@@ -78,6 +80,120 @@ def test_pair_sum_factor_matches_dense_solve(d, seed, hermitian, z):
     x = _PairSumFactor(sysy, z).solve(b)
     ref = np.linalg.solve(flat - z * np.eye(18 * d), b)
     assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def _transposed_channel_solve(channel, z, b):
+    """One Kronecker channel's (H0 + Vα − z)⁻¹ b, its columns moved to the
+    pair-first axis order and back by axis transposes."""
+    weights = 1.0 / (channel.eigenvalues - z)
+    n = len(channel.axes)
+    x = b.reshape(channel.axes + (-1,)).transpose(channel.order + (n,))
+    for u in channel.bases:
+        x = x.reshape(u.shape[0], -1).T @ u
+    x = x.reshape(-1, weights.size) * weights.ravel()
+    for u in reversed(channel.bases):
+        x = u @ x.reshape(-1, u.shape[0]).T
+    x = x.reshape(channel.axes + (-1,)).transpose(tuple(np.argsort(channel.order)) + (n,))
+    return x.reshape(b.shape)
+
+
+def _per_chain_solve(sysy, z, b):
+    """(A − z)⁻¹ b through the pair sums, one chain and one channel at a time."""
+    split, pairs, chains = sysy.split, sysy.pairs, sysy.chains
+    pair_rows = [[i for i, c in enumerate(chains) if c.pair == p] for p in pairs]
+    chain_others = [[pairs.index(q) for q in c.partition.internal_pairs() if q != c.pair]
+                    for c in chains]
+    blocks = b.reshape(len(chains), -1)
+    sums = _FaddeevShiftedFactor(split, z).solve(
+        np.stack([blocks[rows].sum(axis=0) for rows in pair_rows]))
+    out = np.empty(blocks.shape, dtype=np.result_type(blocks, sums))
+    for rows, channel, v in zip(pair_rows, split.channels[1:], split.potentials):
+        rhs = np.stack(
+            [blocks[i] - v.apply(sums[chain_others[i]].sum(axis=0)) for i in rows], axis=1)
+        out[rows] = _transposed_channel_solve(channel, z, rhs).T
+    return out.ravel()
+
+
+_PAIR_KEYS = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+
+
+@st.composite
+def fourbody_models(draw):
+    per_pair = draw(st.one_of(st.none(), st.dictionaries(
+        st.sampled_from(_PAIR_KEYS), POTENTIALS, min_size=1, max_size=4)))
+    return LatticeModel(
+        N=4,
+        L=draw(st.integers(min_value=2, max_value=3)),
+        boundary=draw(st.sampled_from(["box", "ring"])),
+        potential=draw(POTENTIALS),
+        per_pair=per_pair,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(model=fourbody_models(), data=st.data())
+def test_batched_pair_sum_solve_is_the_per_chain_loop_bit_for_bit(model, data):
+    sysy = YakubovskySystem(split=build_split(model))
+    split = sysy.split
+    spectra = np.concatenate([np.linalg.eigvalsh(split.total().materialize())]
+                             + [split.channel_spectrum(part) for part in (None, *range(6))])
+    z = data.draw(st.floats(min_value=float(spectra.min()) - 1.0,
+                            max_value=float(spectra.max()) + 1.0), label="z")
+    assume(np.min(np.abs(spectra - z)) >= 1e-2)
+    b = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed")).standard_normal(
+        18 * split.dim)
+    got = _PairSumFactor(sysy, z).solve(b)
+    assert got.tobytes() == _per_chain_solve(sysy, z, b).tobytes()
+    flat = assemble_yakubovsky_operator(sysy).flatten().materialize()
+    want = np.linalg.solve(flat - z * np.eye(flat.shape[0]), b)
+    assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+
+@pytest.fixture
+def channel_passes(monkeypatch):
+    """The number of channels in every pass of a Kronecker change of basis."""
+    passes = []
+    real = lattice._KroneckerSolver.solve
+
+    def spy(self, b):
+        passes.append(len(self.channels))
+        return real(self, b)
+
+    monkeypatch.setattr(lattice._KroneckerSolver, "solve", spy)
+    return passes
+
+
+def test_one_pair_sum_solve_makes_one_pass_per_shared_pair_eigenbasis(tiny4_split,
+                                                                      channel_passes):
+    split, _ = tiny4_split
+    factor = _PairSumFactor(YakubovskySystem(split=split), -28.6)
+    factor.solve(np.ones(18 * split.dim))
+    assert sorted(channel_passes) == [1, 6]  # H0 for the pair sums, then all six pairs
+
+    # three distinct potentials: the default on four pairs, one each on (1, 2) and (3, 4)
+    model = LatticeModel(N=4, L=3, potential=PairPotential.onsite(-4.0),
+                         per_pair={(1, 2): PairPotential.onsite(-2.0),
+                                   (3, 4): PairPotential.gaussian(-1.0, 1.0)})
+    factor = _PairSumFactor(YakubovskySystem(split=build_split(model)), -40.0)
+    channel_passes.clear()
+    factor.solve(np.ones(18 * model.dimension))
+    assert sorted(channel_passes) == [1, 1, 1, 4]
+
+
+def test_index_tables_are_built_once_per_system(tiny4_split, monkeypatch):
+    split, _ = tiny4_split
+    sysy = YakubovskySystem(split=split)
+    calls = []
+    real = TwoClusterPartition.internal_pairs
+    monkeypatch.setattr(TwoClusterPartition, "internal_pairs",
+                        lambda self: calls.append(self) or real(self))
+    first = _PairSumFactor(sysy, -28.6)
+    built = len(calls)
+    assert built
+    second = _PairSumFactor(sysy, -28.5)
+    second.solve(np.ones(18 * split.dim))
+    assert len(calls) == built
+    assert first.pair_rows is second.pair_rows is sysy.pair_rows
 
 
 @pytest.fixture
