@@ -313,9 +313,12 @@ class BlockOperator:
                     c = e._data  # row of each stored entry, without a COO copy
                     rows = np.repeat(np.arange(d), np.diff(c.indptr))
                     triplets[id(e)] = (rows, c.indices, c.data)
-        rows = np.concatenate([i * d + triplets[id(e)][0] for i, _, e in present])
-        cols = np.concatenate([j * d + triplets[id(e)][1] for _, j, e in present])
-        vals = np.concatenate([triplets[id(e)][2] for _, _, e in present])
+        pieces = [triplets[id(e)] for _, _, e in present]
+        rows, cols, vals = (np.concatenate(part) for part in zip(*pieces))
+        # the block offsets, repeated per entry and added in place: the indices keep their dtype
+        sizes = [v.size for _, _, v in pieces]
+        rows += np.repeat([i * d for i, _, _ in present], sizes)
+        cols += np.repeat([j * d for _, j, _ in present], sizes)
         return Operator.sparse(sp.csr_matrix((vals, (rows, cols)), shape=(n, n), dtype=dtype))
 
     def block_rows(self, x: np.ndarray) -> list[np.ndarray]:
@@ -530,7 +533,8 @@ class _Resolvent:
         return float(spla.onenormest(inverse, t=1) * spla.norm(mat, 1))
 
     def solve(self, rhs) -> np.ndarray:
-        b = np.asarray(rhs, dtype=np.result_type(self.dtype, np.asarray(rhs).dtype))
+        # C order: the conjugate-gradient and LU paths round differently on other layouts
+        b = np.ascontiguousarray(rhs, dtype=np.result_type(self.dtype, np.asarray(rhs).dtype))
         if b.shape[0] != self.shifted.shape[0]:
             raise InvalidInputError(
                 f"rhs length {b.shape[0]} != matrix dim {self.shifted.shape[0]}")

@@ -25,6 +25,7 @@ builds on top.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -151,11 +152,8 @@ class FewBodySplit:
 
     def total(self) -> Operator:
         """H = H0 + Σα Vα, summed in part order on the first call and kept."""
-        if "_total" not in self.__dict__:
-            h = self.h0
-            for v in self.potentials:
-                h = h + v
-            self.__dict__["_total"] = h  # frozen: bypass __setattr__; not a field
+        if "_total" not in self.__dict__:  # frozen: bypass __setattr__; not a field
+            self.__dict__["_total"] = sum(self.potentials, self.h0)
         return self.__dict__["_total"]
 
     def potential_sum_apply(self, x: np.ndarray) -> np.ndarray:
@@ -164,21 +162,43 @@ class FewBodySplit:
             out = out + v.apply(x)
         return out
 
+    @functools.cached_property
+    def _diagonal_potentials(self) -> Optional[np.ndarray]:
+        """The n×d stack of the potentials' diagonals, None unless all are diagonal."""
+        diagonal = all(v.kind == "diagonal" for v in self.potentials)
+        return np.stack([v.diagonal_data for v in self.potentials]) if diagonal else None
+
+    def potential_rows_apply(self, x: np.ndarray) -> np.ndarray:
+        """Vα applied to row α of x (n × d, n × k × d, or one row for all α): one
+        broadcast multiply when every potential is diagonal, else one ``apply`` each."""
+        stack = self._diagonal_potentials
+        if stack is not None:
+            return stack.reshape((self.n,) + (1,) * (x.ndim - 2) + (self.dim,)) * x
+        rows = np.broadcast_to(x, (self.n,) + x.shape[1:])
+        return np.stack([v.apply(r.T).T for v, r in zip(self.potentials, rows)])
+
 
 @dataclass(frozen=True)
 class FaddeevComponents:
     """The n component vectors of one eigenpair, plus solve diagnostics.
 
-    ``ill_conditioned`` is set when the estimated condition number of
-    (H0 − z) exceeded the flagging threshold during construction; the
-    components are still returned (the solve succeeded), but downstream
-    residuals should be read with that in mind.
+    ``h0_cond_estimate``, the 1-norm condition estimate of (H0 − z), is taken
+    on its first read from the resolvent that built the components (0.0 when
+    none did); ``ill_conditioned`` is set when it exceeds the flagging
+    threshold, and downstream residuals should be read with that in mind.
     """
 
     z: complex
     components: tuple
-    h0_cond_estimate: float = 0.0
-    ill_conditioned: bool = False
+    _resolvent: Optional[_Resolvent] = field(default=None, compare=False, repr=False)
+
+    @functools.cached_property
+    def h0_cond_estimate(self) -> float:
+        return 0.0 if self._resolvent is None else self._resolvent.cond_estimate()
+
+    @property
+    def ill_conditioned(self) -> bool:
+        return bool(self.h0_cond_estimate > ILL_CONDITION_THRESHOLD)
 
     @property
     def n(self) -> int:
@@ -219,13 +239,13 @@ def faddeev_components(
 
     The construction only makes sense on an eigenpair, so the eigenpair
     residual ‖HΨ − zΨ‖/‖Ψ‖ is measured first and a violation is reported as
-    a precondition failure carrying the measured value. The condition of
-    (H0 − z) is estimated and flagged (not fatal) above 1e10, which is the
-    quantitative version of "z does not belong to the spectrum of H0". One
-    :class:`~fykit.blockops._Resolvent` of H0 − z serves the estimate and the
-    n solves, which it takes as one block: by conjugate gradients when H0 − z
-    is provably positive definite (z below every Gershgorin disc of H0, as
-    for a bound state on a lattice), otherwise from one LU.
+    a precondition failure carrying the measured value. One
+    :class:`~fykit.blockops._Resolvent` of H0 − z takes the n solves as one
+    block: by conjugate gradients when H0 − z is provably positive definite
+    (z below every Gershgorin disc of H0, as for a bound state on a lattice),
+    otherwise from one LU. It is kept for the condition estimate of (H0 − z),
+    computed on its first read and flagged (not fatal) above 1e10, the
+    quantitative version of "z does not belong to the spectrum of H0".
     """
     psi = np.asarray(psi)
     pnorm = np.linalg.norm(psi)
@@ -239,19 +259,13 @@ def faddeev_components(
             measured=eig_res,
         )
     resolvent = _Resolvent(split.h0, z)
-    cond = resolvent.cond_estimate()
     try:
         comps = resolvent.solve(np.stack([v.apply(psi) for v in split.potentials], axis=1))
     except SingularMatrixError as exc:
         raise SpuriousEnergyError(
             f"z = {z} is numerically in the unperturbed spectrum"
         ) from exc
-    return FaddeevComponents(
-        z=z,
-        components=tuple(-c for c in comps.T),
-        h0_cond_estimate=cond,
-        ill_conditioned=bool(cond > ILL_CONDITION_THRESHOLD),
-    )
+    return FaddeevComponents(z=z, components=tuple(-c for c in comps.T), _resolvent=resolvent)
 
 
 def assemble_coupled(split: FewBodySplit, row_parts: Sequence[int], mask) -> BlockOperator:
@@ -302,7 +316,7 @@ class _FaddeevShiftedFactor:
     """
 
     def __init__(self, split: FewBodySplit, z, owner: Optional[np.ndarray] = None, h=None):
-        self.potentials = split.potentials
+        self.split = split
         self.h0_op, self.z = split.h0, z
         hmat = _solver_matrix(split.total() if h is None else h)
         owner = np.full(split.dim, -1) if owner is None else np.asarray(owner)
@@ -317,14 +331,15 @@ class _FaddeevShiftedFactor:
         self.h0 = split.channel_solver(z)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        blocks = np.asarray(b).reshape(len(self.potentials), -1)
+        blocks = np.asarray(b).reshape(self.split.n, -1)
         psi = blocks.sum(axis=0)
         if self.core.size:
+            psi = psi.astype(np.result_type(psi, self.z), copy=False)  # a complex z makes Ψ complex
             psi[self.core] = blocks[self.core_rows, self.core]
             psi[self.free] = self.h.solve(psi[self.free] - self.coupling @ psi[self.core])
         else:
             psi = self.h.solve(psi)
-        rhs = np.stack([r - v.apply(psi) for r, v in zip(blocks, self.potentials)], axis=1)
+        rhs = np.ascontiguousarray((blocks - self.split.potential_rows_apply(psi[None])).T)
         if self.core.size:
             rhs[self.core, self.core_rows] = 0.0
             mu = self.h0_op.apply(psi) - self.z * psi - rhs.sum(axis=1)

@@ -217,22 +217,37 @@ def chain_sum_consistency(
     return ChainSumReport(per_pair=per_pair, total_defect=float(total))
 
 
+def _pair_membership(chains: Sequence[Chain], pairs: Sequence[Pair]) -> tuple:
+    """The chains × pairs table of which partition holds which pair; each chain's pair index."""
+    inside = np.array([[c.partition.contains_pair(p) for p in pairs] for c in chains])
+    return inside, np.array([pairs.index(c.pair) for c in chains])
+
+
+@functools.cache
+def _partition_sums() -> tuple[np.ndarray, np.ndarray]:
+    """Chain indices of each canonical chain (a, α)'s two residual sums, padded with 18:
+    18×2 same-partition chains (a, β≠α) in ``a.internal_pairs()`` order, and 18×4
+    cross-partition chains (b≠a, β≠α) with β ⊂ a in chain order; built once per process."""
+    chains, pairs = enumerate_chains(4), enumerate_pairs(4)
+    inside, own = _pair_membership(chains, pairs)
+    same = [[chains.index(Chain(c.partition, b)) for b in c.partition.internal_pairs()
+             if b != c.pair] for c in chains]
+    cross = [[j for j, b in enumerate(chains) if inside[i, own[j]] and own[j] != own[i]
+              and b.partition != c.partition] for i, c in enumerate(chains)]
+    same, cross = (np.array([row + [18] * (width - len(row)) for row in table])
+                   for table, width in ((same, 2), (cross, 4)))
+    same.flags.writeable = cross.flags.writeable = False  # shared through the cache
+    return same, cross
+
+
 def coupling_pattern(chains: Sequence[Chain]) -> np.ndarray:
     """Boolean 18×18 mask: True where the block (row, col) holds V_{row.pair}.
 
     Row (a, α) couples to column (b, β) exactly when β ⊂ a and β ≠ α; the
     column being a chain already guarantees β ⊂ b.
     """
-    m = len(chains)
-    mask = np.zeros((m, m), dtype=bool)
-    for i, row in enumerate(chains):
-        for j, col in enumerate(chains):
-            if i == j:
-                continue
-            beta = col.pair
-            if beta != row.pair and row.partition.contains_pair(beta):
-                mask[i, j] = True
-    return mask
+    inside, own = _pair_membership(chains, list(dict.fromkeys(c.pair for c in chains)))
+    return inside[:, own] & (own[:, None] != own[None, :])
 
 
 def assemble_yakubovsky_operator(sys: YakubovskySystem) -> BlockOperator:
@@ -254,38 +269,21 @@ def yakubovsky_residual(sys: YakubovskySystem, comps: YakubovskyComponents) -> n
     Computes (H0 + Vα − z) ψ_{aα} plus Vα times the same-partition sum and
     the cross-partition double sum separately, rather than reusing the
     assembled operator, so the two formulations can be compared as
-    independent transcriptions.
+    independent transcriptions: the tables of :func:`_partition_sums` come
+    from the chain definitions, not from :func:`coupling_pattern`. All 18
+    chains are computed at once, and each sum adds its terms in chain order.
     """
-    z = comps.z
-    chains = sys.chains
-    by_chain = comps.by_chain(chains)
-    out = np.empty(18)
-    for i, chain in enumerate(chains):
-        a, alpha = chain.partition, chain.pair
-        psi = by_chain[chain]
-        v = sys.potential(alpha)
-        same = np.zeros(sys.dim)
-        for beta in a.internal_pairs():
-            if beta == alpha:
-                continue
-            c = Chain(a, beta)
-            same = same + by_chain[c]
-        cross = np.zeros(sys.dim)
-        for other, vec in by_chain.items():
-            b, beta = other.partition, other.pair
-            if b == a:
-                continue
-            if beta != alpha and a.contains_pair(beta):
-                cross = cross + vec
-        defect = (
-            sys.split.h0.apply(psi)
-            + v.apply(psi)
-            - z * psi
-            + v.apply(same)
-            + v.apply(cross)
-        )
-        out[i] = np.linalg.norm(defect) / max(np.linalg.norm(psi), _NORM_FLOOR)
-    return out
+    psi = np.asarray(comps.components)
+    padded = np.concatenate([psi, np.zeros((1, sys.dim))])
+    same, cross = (sum(padded[col] for col in table.T) for table in _partition_sums())
+    by_pair = np.stack([psi, same, cross], axis=1)[sys.pair_rows]  # pair × chain × term × d
+    applied = sys.split.potential_rows_apply(by_pair.reshape(6, 9, -1)).reshape(18, 3, -1)
+    v_psi, v_same, v_cross = applied[np.argsort(sys.pair_rows, axis=None)].transpose(1, 0, 2)
+    # C order: the norms below must each read one contiguous row
+    defect = np.ascontiguousarray(
+        sys.split.h0.apply(psi.T).T + v_psi - comps.z * psi + v_same + v_cross)
+    return np.array([np.linalg.norm(d) / max(np.linalg.norm(p), _NORM_FLOOR)
+                     for d, p in zip(defect, psi)])
 
 
 class _PairSumFactor:
@@ -299,14 +297,14 @@ class _PairSumFactor:
     through their Kronecker structure for a lattice split and factored
     otherwise. So A − z is singular exactly when H − z, H0 − z or a channel
     is, and that step raises :class:`ShiftSingularError`. The sums are
-    fancy-index sums over the system's tables, each potential is applied
-    once to its three chains' columns, and the channels are solved once per
-    :meth:`FewBodySplit.channel_groups` group (all six pairs of an identical
-    lattice model in one).
+    fancy-index sums over the system's tables, one
+    :meth:`FewBodySplit.potential_rows_apply` applies the potentials, and the
+    channels are solved once per :meth:`FewBodySplit.channel_groups` group
+    (all six pairs of an identical lattice model in one).
     """
 
     def __init__(self, sys: YakubovskySystem, z):
-        self.potentials, self.pair_rows = sys.split.potentials, sys.pair_rows
+        self.split, self.pair_rows = sys.split, sys.pair_rows
         self.others = sys.chain_others[sys.pair_rows]  # 6×3×2, by pair
         self.faddeev = _FaddeevShiftedFactor(sys.split, z)
         self.groups = sys.split.channel_groups(z)
@@ -318,7 +316,7 @@ class _PairSumFactor:
         # the padding row is −0.0, which leaves every sum it enters bit for bit as it was
         padded = np.concatenate([sums, np.full((1, sums.shape[1]), -0.0)])
         coupled = padded[self.others].sum(axis=2)
-        rhs = by_pair - np.stack([v.apply(c.T).T for v, c in zip(self.potentials, coupled)])
+        rhs = by_pair - self.split.potential_rows_apply(coupled)
         out = np.empty(blocks.shape, dtype=rhs.dtype)
         for parts, solver in self.groups:
             rows = self.pair_rows[parts]
