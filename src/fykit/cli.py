@@ -88,6 +88,7 @@ _ALLOWED_KEYS = {
 }
 
 _SPURIOUS_COMMENT_WINDOW = 1e-6
+_CHAIN_SUM_EIGENPAIR_TOL = 1e-6  # ‖HΨ − zΨ‖/‖Ψ‖ bound of solve4's chain-sum check
 
 
 def _g(x: float) -> str:
@@ -531,11 +532,11 @@ def cmd_solve4(args, out: _Out, cfg: RunConfig) -> int:
         )
     psi = yc.total()
     try:
-        fc = faddeev_components(split, z, psi, eigenpair_tol=1e-6)
+        fc = faddeev_components(split, z, psi, eigenpair_tol=_CHAIN_SUM_EIGENPAIR_TOL)
     except PreconditionError as exc:
         out.comment(
-            f"reconstructed state is not an eigenvector (measured {_e(exc.measured)}); "
-            "chain-sum check skipped (auxiliary root?)"
+            f"reconstructed state is not an eigenvector: eigenpair residual {_e(exc.measured)} "
+            f"exceeds {_g(_CHAIN_SUM_EIGENPAIR_TOL)}; chain-sum check skipped"
         )
         return 0
     rep = chain_sum_consistency(sysy, yc, fc)
