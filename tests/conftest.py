@@ -1,4 +1,4 @@
-"""Shared fixtures: the two lattice presets and a seeded abstract split."""
+"""Shared fixtures and hypothesis strategies: the lattice presets, random models and potentials."""
 
 import pytest
 from hypothesis import strategies as st
@@ -13,6 +13,36 @@ POTENTIALS = st.one_of(
     st.builds(PairPotential.gaussian, _DEPTH, st.floats(min_value=0.2, max_value=3.0)),
     st.builds(PairPotential.table, st.lists(_DEPTH, min_size=1, max_size=5)),
 )
+_PAIR_KEYS = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+
+
+@st.composite
+def fourbody_models(draw):
+    """N=4 lattices (L 2-3, box or ring), identical or with per-pair potentials."""
+    per_pair = draw(st.one_of(st.none(), st.dictionaries(
+        st.sampled_from(_PAIR_KEYS), POTENTIALS, min_size=1, max_size=4)))
+    return LatticeModel(
+        N=4,
+        L=draw(st.integers(min_value=2, max_value=3)),
+        boundary=draw(st.sampled_from(["box", "ring"])),
+        potential=draw(POTENTIALS),
+        per_pair=per_pair,
+    )
+
+
+@st.composite
+def pencil_models(draw):
+    """N=3 lattices (L 3-6, box or ring) with or without a hard core."""
+    pot = draw(POTENTIALS)
+    per_pair = draw(st.one_of(st.none(), st.fixed_dictionaries({(1, 3): POTENTIALS})))
+    return LatticeModel(
+        N=3,
+        L=draw(st.integers(min_value=3, max_value=6)),
+        boundary=draw(st.sampled_from(["box", "ring"])),
+        potential=pot,
+        core_radius=draw(st.sampled_from([None, 0, 1, 2])),
+        per_pair=per_pair,
+    )
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -12,7 +12,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import POTENTIALS
+from conftest import fourbody_models, pencil_models
 from fykit import cli
 from fykit.blockops import _Resolvent
 from fykit.combinatorics import Chain, enumerate_chains
@@ -23,7 +23,7 @@ from fykit.faddeev import (
     random_split,
 )
 from fykit.hardcore import _pencil_and_split
-from fykit.lattice import LatticeModel, build_split
+from fykit.lattice import build_split
 from fykit.yakubovsky import (
     YakubovskyComponents,
     YakubovskySystem,
@@ -31,22 +31,6 @@ from fykit.yakubovsky import (
     coupling_pattern,
     yakubovsky_residual,
 )
-
-_PAIR_KEYS = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
-
-
-@st.composite
-def fourbody_models(draw):
-    per_pair = draw(st.one_of(st.none(), st.dictionaries(
-        st.sampled_from(_PAIR_KEYS), POTENTIALS, min_size=1, max_size=4)))
-    return LatticeModel(
-        N=4,
-        L=draw(st.integers(min_value=2, max_value=3)),
-        boundary=draw(st.sampled_from(["box", "ring"])),
-        potential=draw(POTENTIALS),
-        per_pair=per_pair,
-    )
-
 
 def _bits(x) -> bytes:
     return np.ascontiguousarray(x).tobytes()
@@ -198,19 +182,6 @@ def test_sparse_potentials_in_both_shifted_solves_are_per_potential_bit_for_bit(
     b = np.random.default_rng(seed).standard_normal(18 * d)
     factor = _PairSumFactor(sys, z)
     assert _bits(factor.solve(b)) == _bits(_per_potential_pair_sum_solve(factor, b))
-
-
-@st.composite
-def pencil_models(draw):
-    per_pair = draw(st.one_of(st.none(), st.fixed_dictionaries({(1, 3): POTENTIALS})))
-    return LatticeModel(
-        N=3,
-        L=draw(st.integers(min_value=3, max_value=5)),
-        boundary=draw(st.sampled_from(["box", "ring"])),
-        potential=draw(POTENTIALS),
-        core_radius=draw(st.sampled_from([0, 1])),
-        per_pair=per_pair,
-    )
 
 
 @settings(max_examples=30, deadline=None)

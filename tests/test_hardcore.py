@@ -10,7 +10,7 @@ import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import POTENTIALS
+from conftest import pencil_models
 from fykit import blockops, lattice
 from fykit.combinatorics import Pair
 from fykit.errors import InvalidInputError, SpuriousRootWarning
@@ -199,20 +199,6 @@ def _dense_pencil(model, surface_only):
     free = owner < 0
     sigma_rr = np.linalg.eigvalsh(h[np.ix_(free, free)]) if free.any() else np.empty(0)
     return pencil, split, owner, a, b, np.concatenate([sigma_rr, h0_spectrum(model)])
-
-
-@st.composite
-def pencil_models(draw):
-    pot = draw(POTENTIALS)
-    per_pair = draw(st.one_of(st.none(), st.fixed_dictionaries({(1, 3): POTENTIALS})))
-    return LatticeModel(
-        N=3,
-        L=draw(st.integers(min_value=3, max_value=6)),
-        boundary=draw(st.sampled_from(["box", "ring"])),
-        potential=pot,
-        core_radius=draw(st.sampled_from([None, 0, 1, 2])),
-        per_pair=per_pair,
-    )
 
 
 @settings(max_examples=40, deadline=None)

@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import POTENTIALS
+from conftest import fourbody_models
 from fykit import cli, lattice
 from fykit.combinatorics import TwoClusterPartition
 from fykit.faddeev import (
@@ -112,22 +112,6 @@ def _per_chain_solve(sysy, z, b):
             [blocks[i] - v.apply(sums[chain_others[i]].sum(axis=0)) for i in rows], axis=1)
         out[rows] = _transposed_channel_solve(channel, z, rhs).T
     return out.ravel()
-
-
-_PAIR_KEYS = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
-
-
-@st.composite
-def fourbody_models(draw):
-    per_pair = draw(st.one_of(st.none(), st.dictionaries(
-        st.sampled_from(_PAIR_KEYS), POTENTIALS, min_size=1, max_size=4)))
-    return LatticeModel(
-        N=4,
-        L=draw(st.integers(min_value=2, max_value=3)),
-        boundary=draw(st.sampled_from(["box", "ring"])),
-        potential=draw(POTENTIALS),
-        per_pair=per_pair,
-    )
 
 
 @settings(max_examples=40, deadline=None)
