@@ -12,8 +12,11 @@ underlying Hamiltonian is Hermitian, so the dense kernel is a general
 (Hessenberg + QR) routine, not a symmetric one.
 
 Every factorization, of a lattice operator or of a small random split, is a
-SuperLU one (:func:`_splu`), ordered by minimum degree on Aᵀ + A when the
-diagonal is zero-free: the lattice matrices have a symmetric nonzero pattern,
+SuperLU one (:func:`_splu`) owned by a :class:`_Resolvent` of A − z·B, which
+reads its operands' stored CSR without copying them and reports an exactly
+singular matrix as :class:`ShiftSingularError`, a :class:`SingularMatrixError`.
+SuperLU orders the columns by minimum degree on Aᵀ + A when the diagonal is
+zero-free: the lattice matrices have a symmetric nonzero pattern,
 and on a lattice H − z that ordering has about half the fill of scipy's
 default COLAMD, which every other matrix keeps. Dense eigensolvers are capped
 by :func:`dense_limit` (default 4096). The ``FY_DENSE_LIMIT``
@@ -121,6 +124,12 @@ def _diagonal_csr(d: np.ndarray) -> sp.csr_matrix:
     np.cumsum(nonzero, out=indptr[1:])
     cols = np.flatnonzero(nonzero)
     return sp.csr_matrix((d[cols], cols.astype(np.int32), indptr), shape=(d.size, d.size))
+
+
+def _stored_csr(a) -> sp.csr_matrix:
+    """The CSR matrix of an :class:`Operator`, a scipy sparse matrix or a square
+    numeric 2-D array: the stored one itself when it is CSR, so only for reads."""
+    return (a if isinstance(a, Operator) else Operator.sparse(a))._csr()
 
 
 class Operator:
@@ -399,7 +408,9 @@ def linear_solve(a, z, rhs) -> np.ndarray:
     right-hand side: a conjugate-gradient column that misses it is solved
     again by the LU path, and a system the LU path cannot bring to that
     target is reported as singular to working precision rather than returned
-    silently degraded. A zero right-hand side returns zeros without factoring.
+    silently degraded; an exactly singular one raises :class:`ShiftSingularError`,
+    a :class:`SingularMatrixError` too. A zero right-hand side returns zeros
+    without factoring. A is read as stored, never copied or modified.
     """
     return _Resolvent(a, z).solve(rhs)
 
@@ -476,39 +487,51 @@ def _conjugate_gradients(m: sp.csr_matrix, b: np.ndarray) -> np.ndarray:
 
 
 class _Resolvent:
-    """(A − z·I)⁻¹ for any number of right-hand sides, by conjugate gradients
-    or from one SuperLU factorization.
+    """(A − z·B)⁻¹, B the identity unless given, for any number of right-hand
+    sides: the one owner of a SuperLU factorization in the package.
 
-    A may be an :class:`Operator`, a scipy sparse matrix or a 2-D array. When
-    A − z·I passes :func:`_gershgorin_positive` (real A and z, a sparse and
-    exactly symmetric matrix, a positive Gershgorin lower bound), ``positive``
-    holds its CSR matrix and every solve runs
-    :func:`_conjugate_gradients` on all its columns at once, and each column
-    whose true residual exceeds ``_REFINE_TARGET`` relative to its right-hand
-    side goes to the LU path. The LU path factors on the first column that
-    needs it (or on the condition estimate), reuses the factors, and solves
-    and refines each column on its own, raising :class:`SingularMatrixError`
-    exactly as :func:`linear_solve` does. ``solve`` takes one vector or the
-    columns of a 2-D array.
+    A and B (each an :class:`Operator`, a scipy sparse matrix or a 2-D array)
+    are read as stored, never copied. A − z·I subtracts z only where z·1 is
+    nonzero, so at z = ±0 it keeps A's entries as they are. SuperLU runs on
+    first use and reports an exactly singular matrix as
+    :class:`ShiftSingularError`.
+
+    ``solve`` is certified, as :func:`linear_solve` documents. When A − z·B
+    passes :func:`_gershgorin_positive`, ``positive`` holds its CSR matrix and
+    :func:`_conjugate_gradients` solves all columns at once; a column whose
+    true residual exceeds ``_REFINE_TARGET`` relative to its right-hand side
+    goes to the LU path, which refines each column on its own and raises
+    :class:`SingularMatrixError` when it cannot reach the target. The
+    certificate is built on the first ``solve`` or ``cond_estimate``.
+
+    With ``refine=False`` (shift-invert) the matrix is factored at once and
+    ``solve`` is the bare LU solve: no certificate, no refinement, and a
+    non-finite result raises :class:`ShiftSingularError`.
     """
 
-    def __init__(self, a, z):
-        mat = _solver_matrix(a)
-        self.dtype = np.result_type(mat.dtype, type(z))
-        self.shifted = mat - _diagonal_csr(z * np.ones(mat.shape[0]))
-        self.positive = self.shifted if _gershgorin_positive(self.shifted) else None
+    def __init__(self, a, z, b=None, refine=True):
+        mat = _stored_csr(a)
+        self.shifted = mat - (_diagonal_csr(z * np.ones(mat.shape[0])) if b is None
+                              else z * _stored_csr(b))
+        self.dtype, self.refine = self.shifted.dtype, refine
+        if not refine:
+            self.lu  # a singular shift raises here, where the shift-invert retry expects it
+
+    @functools.cached_property
+    def positive(self) -> Optional[sp.csr_matrix]:
+        return self.shifted if _gershgorin_positive(self.shifted) else None
 
     @functools.cached_property
     def m(self):
-        """A − z·I in CSC form, as SuperLU takes it."""
-        return sp.csc_matrix(self.shifted, dtype=self.dtype)
+        """A − z·B in CSC form, as SuperLU takes it."""
+        return sp.csc_matrix(self.shifted)
 
     @functools.cached_property
     def lu(self):
         try:
             return _splu(self.m)
         except (ValueError, RuntimeError) as exc:  # RuntimeError: exactly singular
-            raise SingularMatrixError(f"LU factorization failed: {exc}") from exc
+            raise ShiftSingularError(f"shifted sparse matrix is singular: {exc}") from exc
 
     def _back_solve(self, b):
         if np.iscomplexobj(b) and not np.iscomplexobj(self.m.data):  # SuperLU keeps its dtype
@@ -516,8 +539,8 @@ class _Resolvent:
         return self.lu.solve(b)
 
     def cond_estimate(self) -> float:
-        """1-norm condition estimate of A − z·I, inf when singular: ``onenormest``
-        of the inverse (t=1 draws no random probes) times ‖A − z·I‖₁. The
+        """1-norm condition estimate of A − z·B, inf when singular: ``onenormest``
+        of the inverse (t=1 draws no random probes) times ‖A − z·B‖₁. The
         inverse is applied without refinement: by conjugate gradients where a
         column certifies, and by the bare LU solve everywhere else."""
         try:
@@ -533,6 +556,11 @@ class _Resolvent:
         return float(spla.onenormest(inverse, t=1) * spla.norm(mat, 1))
 
     def solve(self, rhs) -> np.ndarray:
+        if not self.refine:
+            x = self.lu.solve(rhs)
+            if not np.all(np.isfinite(x)):
+                raise ShiftSingularError("sparse factor returned non-finite solution")
+            return x
         # C order: the conjugate-gradient and LU paths round differently on other layouts
         b = np.ascontiguousarray(rhs, dtype=np.result_type(self.dtype, np.asarray(rhs).dtype))
         if b.shape[0] != self.shifted.shape[0]:
@@ -643,36 +671,6 @@ def _splu(mat):
             os.close(fd)
 
 
-class _SparseFactor:
-    def __init__(self, mat: sp.spmatrix):
-        try:
-            self.f = _splu(sp.csc_matrix(mat))
-        except RuntimeError as exc:
-            raise ShiftSingularError(f"shifted sparse matrix is singular: {exc}") from exc
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        out = self.f.solve(b)
-        if not np.all(np.isfinite(out)):
-            raise ShiftSingularError("sparse factor returned non-finite solution")
-        return out
-
-
-def _shifted_factor(amat, bmat, z):
-    """SuperLU factors of the CSR matrix A − z·B (B = identity when ``bmat`` is None)."""
-    if bmat is None:
-        shifted = amat - z * sp.identity(amat.shape[0], format="csr", dtype=amat.dtype)
-    else:
-        shifted = amat - z * bmat
-    if np.iscomplexobj(np.asarray(z)) and not np.iscomplexobj(shifted.data):
-        shifted = shifted.astype(np.complex128)
-    return _SparseFactor(shifted)
-
-
-def _solver_matrix(a) -> sp.csr_matrix:
-    """CSR copy of an :class:`Operator`, a scipy sparse matrix or a square numeric 2-D array."""
-    return (a if isinstance(a, Operator) else Operator.sparse(a)).to_sparse()
-
-
 def shift_invert_eigenpair(
     a,
     target,
@@ -705,8 +703,9 @@ def shift_invert_eigenpair(
     post-hoc residual.
 
     A and B may each be an :class:`Operator`, a scipy sparse matrix or a
-    2-D array. They are never modified: each is read as a CSR copy, and each
-    factorization is a SuperLU one of A − z·B.
+    2-D array. Their stored CSR is read, never copied or modified, and the
+    default factor is a :class:`_Resolvent` of A − z·B in its bare mode:
+    one SuperLU factorization, solved without refinement.
 
     The start vector is drawn from a seeded generator, and the returned
     residual is recomputed independently after the loop, so repeated runs
@@ -718,8 +717,8 @@ def shift_invert_eigenpair(
     :class:`SolverFailureError` with diagnostics when the iteration budget
     is exhausted.
     """
-    amat = _solver_matrix(a)
-    bmat = None if b is None else _solver_matrix(b)
+    amat = _stored_csr(a)
+    bmat = None if b is None else _stored_csr(b)
     n = amat.shape[0]
     if bmat is not None and bmat.shape[0] != n:
         raise InvalidInputError(f"pencil dimension mismatch: {n} vs {bmat.shape[0]}")
@@ -729,7 +728,7 @@ def shift_invert_eigenpair(
     complex_problem = bool(np.iscomplexobj(np.asarray(target))) or np.iscomplexobj(amat.data)
     z = complex(target) if complex_problem else float(np.real(target))
     if shifted_factor is None:
-        shifted_factor = functools.partial(_shifted_factor, amat, bmat)
+        shifted_factor = functools.partial(_Resolvent, amat, b=bmat, refine=False)
     factor = shifted_factor(z)
     factorizations = 1
     shifts = [z]

@@ -38,7 +38,6 @@ from .errors import (
     InternalConsistencyError,
     InvalidInputError,
     PreconditionError,
-    ShiftSingularError,
     SingularMatrixError,
     SolverFailureError,
     SpuriousEnergyError,
@@ -760,7 +759,7 @@ def main(argv: Optional[list] = None) -> int:
     except (InvalidInputError, TooLargeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except (SolverFailureError, ShiftSingularError, SingularMatrixError,
+    except (SolverFailureError, SingularMatrixError,
             ChannelEnergyError, SpuriousEnergyError, PreconditionError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 1

@@ -21,9 +21,10 @@ class SingularMatrixError(ToolkitError):
     """A linear system is singular to working precision."""
 
 
-class ShiftSingularError(ToolkitError):
-    """A shift-invert target coincides with an eigenvalue exactly; the caller
-    should perturb the target and retry."""
+class ShiftSingularError(SingularMatrixError):
+    """A shift is an eigenvalue exactly, so the shifted matrix cannot be
+    factored: a singular system to a linear solve, and a target to perturb
+    and retry to a shift-invert caller."""
 
 
 class SolverFailureError(ToolkitError):

@@ -35,8 +35,7 @@ from .blockops import (
     BlockOperator,
     Operator,
     _Resolvent,
-    _shifted_factor,
-    _solver_matrix,
+    _stored_csr,
     dense_eigenvalues,
     linear_solve,
     match_into,
@@ -119,7 +118,7 @@ class FewBodySplit:
         """
         if self.channels is not None:
             return self.channels[0 if part is None else part + 1].solver(z)
-        return _shifted_factor(_solver_matrix(self._channel(part)), None, z)
+        return _Resolvent(self._channel(part), z, refine=False)
 
     def channel_groups(self, z) -> list:
         """Every (H0 + Vα − z)⁻¹ as ``(parts, solver)``, one group per ``basis_id``
@@ -318,7 +317,7 @@ class _FaddeevShiftedFactor:
     def __init__(self, split: FewBodySplit, z, owner: Optional[np.ndarray] = None, h=None):
         self.split = split
         self.h0_op, self.z = split.h0, z
-        hmat = _solver_matrix(split.total() if h is None else h)
+        hmat = _stored_csr(split.total() if h is None else h)
         owner = np.full(split.dim, -1) if owner is None else np.asarray(owner)
         self.core = np.nonzero(owner >= 0)[0]
         self.core_rows = owner[self.core]
@@ -327,7 +326,7 @@ class _FaddeevShiftedFactor:
             rows = hmat[self.free]
             self.coupling = rows[:, self.core]
             hmat = rows[:, self.free]
-        self.h = _shifted_factor(hmat, None, z)
+        self.h = _Resolvent(hmat, z, refine=False)
         self.h0 = split.channel_solver(z)
 
     def solve(self, b: np.ndarray) -> np.ndarray:

@@ -54,8 +54,7 @@ from .blockops import (
     BlockOperator,
     EigenResult,
     Operator,
-    _shifted_factor,
-    _solver_matrix,
+    _Resolvent,
     dense_limit,
     shift_invert_retry,
 )
@@ -347,12 +346,12 @@ def solve_hardcore3(
     gs = _ground_state(model, h, (kept, hr))
     target = float(gs.value if target is None else target)
 
-    a, b = _solver_matrix(pencil.a.flatten()), _solver_matrix(pencil.b.flatten())
+    a, b = pencil.a.flatten(), pencil.b.flatten()
     sigma_h0 = split.channel_spectrum()
 
     def shifted_factor(z):
         if np.min(np.abs(sigma_h0 - z)) <= H0_SPECTRUM_GUARD * (1.0 + abs(z)):
-            return _shifted_factor(a, b, z)
+            return _Resolvent(a, z, b, refine=False)
         return _FaddeevShiftedFactor(split, z, owner=owner, h=h)
 
     result = shift_invert_retry(

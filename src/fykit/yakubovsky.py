@@ -92,6 +92,22 @@ _NORM_FLOOR = 1e-300
 _SPURIOUS_WINDOW = 1e-6
 
 
+@functools.cache
+def _canonical_tables() -> tuple:
+    """The pairs and chains of four particles, as tuples, and two read-only
+    tables: ``pair_rows`` (6×3), the chains of each pair, and ``chain_others``
+    (18×2), the other pairs inside each chain's partition, a 2+2 chain's one
+    padded with 6 for a zero row after the six pair sums. The same for every
+    :class:`YakubovskySystem`, so built once per process."""
+    pairs, chains = tuple(enumerate_pairs(4)), tuple(enumerate_chains(4))
+    pair_rows = np.array([[i for i, c in enumerate(chains) if c.pair == p] for p in pairs])
+    others = [[pairs.index(b) for b in c.partition.internal_pairs() if b != c.pair]
+              for c in chains]
+    chain_others = np.array([row + [6] * (2 - len(row)) for row in others])
+    pair_rows.flags.writeable = chain_others.flags.writeable = False  # shared through the cache
+    return pairs, chains, pair_rows, chain_others
+
+
 @dataclass(frozen=True)
 class YakubovskySystem:
     """A four-body split (six pair potentials) plus the 18 chains.
@@ -109,26 +125,10 @@ class YakubovskySystem:
                 f"a four-body system needs 6 pair potentials, got {self.split.n}"
             )
 
-    @functools.cached_property
-    def pairs(self) -> list[Pair]:
-        return enumerate_pairs(4)
-
-    @functools.cached_property
-    def chains(self) -> list[Chain]:
-        return enumerate_chains(4)
-
-    @functools.cached_property
-    def pair_rows(self) -> np.ndarray:
-        """6×3 chain indices: row p lists the chains of the p-th pair."""
-        return np.array([[i for i, c in enumerate(self.chains) if c.pair == p] for p in self.pairs])
-
-    @functools.cached_property
-    def chain_others(self) -> np.ndarray:
-        """18×2 pair indices: the other pairs inside each chain's partition; a 2+2
-        chain's one is padded with 6, for a zero row after the six pair sums."""
-        others = [[self.pairs.index(b) for b in c.partition.internal_pairs() if b != c.pair]
-                  for c in self.chains]
-        return np.array([row + [6] * (2 - len(row)) for row in others])
+    pairs = property(lambda self: _canonical_tables()[0])
+    chains = property(lambda self: _canonical_tables()[1])
+    pair_rows = property(lambda self: _canonical_tables()[2])
+    chain_others = property(lambda self: _canonical_tables()[3])
 
     @property
     def dim(self) -> int:

@@ -444,6 +444,33 @@ def test_solve4_factors_only_inside_the_solve(monkeypatch, capsys, gaussian4_cfg
     assert calls and all(calls)
 
 
+def test_shift_invert_factorizations_build_no_certificate(monkeypatch, capsys):
+    # the Gershgorin certificate is built for certified solves and estimates
+    # only; inverse iteration's factorizations take the bare LU solve
+    inside, built = [], []
+    real_solve, real_certificate = blockops.shift_invert_eigenpair, blockops._gershgorin_positive
+
+    def solve(*args, **kwargs):
+        inside.append(True)
+        try:
+            return real_solve(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(blockops, "shift_invert_eigenpair", solve)
+    monkeypatch.setattr(blockops, "_gershgorin_positive",
+                        lambda m: built.append(bool(inside)) or real_certificate(m))
+    for argv, checks in ((["solve3", "--config", "tiny3"], True),
+                         (["solve4", "--config", "tiny4"], True),
+                         (["hardcore3", "--config", "tiny3", "--sweep", "none,0,1"], False)):
+        del built[:]
+        assert cli.main(argv) == 0
+        assert True not in built, argv[0]
+        # the post-hoc checks of solve3 and solve4 do build one, outside the solve
+        assert (False in built) == checks, argv[0]
+    capsys.readouterr()
+
+
 def test_output_path_key_writes_the_stdout_bytes(tmp_path):
     keyed, flagged = tmp_path / "keyed.txt", tmp_path / "flagged.txt"
     text = resources.files("fykit").joinpath("configs", "tiny3.cfg").read_text()

@@ -1,5 +1,6 @@
 """Shifted solves through H − z and H0 − z, and the four-body pair-sum reduction."""
 
+import functools
 import warnings
 
 import numpy as np
@@ -9,8 +10,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import fourbody_models
-from fykit import cli, lattice
-from fykit.combinatorics import TwoClusterPartition
+from fykit import cli, lattice, yakubovsky
+from fykit.combinatorics import TwoClusterPartition, enumerate_chains, enumerate_pairs
 from fykit.faddeev import (
     FewBodySplit,
     _FaddeevShiftedFactor,
@@ -27,10 +28,12 @@ from fykit.lattice import (
     hamiltonian_terms,
 )
 from fykit.yakubovsky import (
+    YakubovskyComponents,
     YakubovskySystem,
     _PairSumFactor,
     assemble_yakubovsky_operator,
     solve_fourbody_ground_state,
+    yakubovsky_residual,
 )
 
 # Two backward-stable solves of one system agree to about cond·eps, so the
@@ -165,7 +168,11 @@ def test_one_pair_sum_solve_makes_one_pass_per_shared_pair_eigenbasis(tiny4_spli
 
 
 def test_index_tables_are_built_once_per_system(tiny4_split, monkeypatch):
+    # once per process, in fact: a fresh cache builds them for the first
+    # system, and a second system reads the first one's
     split, _ = tiny4_split
+    monkeypatch.setattr(yakubovsky, "_canonical_tables",
+                        functools.cache(yakubovsky._canonical_tables.__wrapped__))
     sysy = YakubovskySystem(split=split)
     calls = []
     real = TwoClusterPartition.internal_pairs
@@ -174,10 +181,50 @@ def test_index_tables_are_built_once_per_system(tiny4_split, monkeypatch):
     first = _PairSumFactor(sysy, -28.6)
     built = len(calls)
     assert built
-    second = _PairSumFactor(sysy, -28.5)
+    second = _PairSumFactor(YakubovskySystem(split=split), -28.5)
     second.solve(np.ones(18 * split.dim))
     assert len(calls) == built
     assert first.pair_rows is second.pair_rows is sysy.pair_rows
+
+
+def _per_system_tables():
+    """The tables as each system built them for itself before they were shared."""
+    pairs, chains = enumerate_pairs(4), enumerate_chains(4)
+    pair_rows = np.array([[i for i, c in enumerate(chains) if c.pair == p] for p in pairs])
+    others = [[pairs.index(b) for b in c.partition.internal_pairs() if b != c.pair]
+              for c in chains]
+    return pairs, chains, pair_rows, np.array([row + [6] * (2 - len(row)) for row in others])
+
+
+@pytest.mark.parametrize("kind", ["lattice", "random"])
+def test_four_body_tables_are_shared_read_only_and_change_no_result(tiny4_split, monkeypatch,
+                                                                    kind):
+    split = tiny4_split[0] if kind == "lattice" else random_split(6, 4, seed=5)
+    one, two = YakubovskySystem(split=split), YakubovskySystem(split=random_split(6, 3, seed=1))
+    for name, table in zip(("pairs", "chains", "pair_rows", "chain_others"), _per_system_tables()):
+        got = getattr(one, name)
+        assert got is getattr(two, name)
+        if isinstance(table, list):
+            assert got == tuple(table)
+        else:
+            assert got.dtype == table.dtype and np.array_equal(got, table)
+    for table in (one.pair_rows, one.chain_others):
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+    for table in (one.pairs, one.chains):
+        with pytest.raises(TypeError):
+            table[0] = table[1]
+    rng = np.random.default_rng(3)
+    comps = YakubovskyComponents(z=-29.0, components=tuple(rng.standard_normal((18, split.dim))))
+    b = rng.standard_normal(18 * split.dim)
+
+    def results():
+        return (yakubovsky_residual(one, comps).tobytes(),
+                _PairSumFactor(one, -29.0).solve(b).tobytes())
+
+    shared = results()
+    monkeypatch.setattr(yakubovsky, "_canonical_tables", _per_system_tables)
+    assert results() == shared
 
 
 @pytest.fixture
