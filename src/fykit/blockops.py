@@ -506,7 +506,8 @@ class _Resolvent:
 
     With ``refine=False`` (shift-invert) the matrix is factored at once and
     ``solve`` is the bare LU solve: no certificate, no refinement, and a
-    non-finite result raises :class:`ShiftSingularError`.
+    non-finite result raises :class:`ShiftSingularError`. On a real factor a
+    complex right-hand side is solved as its real and imaginary parts.
     """
 
     def __init__(self, a, z, b=None, refine=True):
@@ -557,7 +558,7 @@ class _Resolvent:
 
     def solve(self, rhs) -> np.ndarray:
         if not self.refine:
-            x = self.lu.solve(rhs)
+            x = self._back_solve(rhs)
             if not np.all(np.isfinite(x)):
                 raise ShiftSingularError("sparse factor returned non-finite solution")
             return x

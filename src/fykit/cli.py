@@ -18,7 +18,6 @@ import functools
 import json
 import os
 import sys
-import warnings
 from configparser import ConfigParser, Error as ConfigParserError
 from importlib import resources
 from typing import Optional
@@ -86,7 +85,6 @@ _ALLOWED_KEYS = {
     "output": {"format", "path"},
 }
 
-_SPURIOUS_COMMENT_WINDOW = 1e-6
 _CHAIN_SUM_EIGENPAIR_TOL = 1e-6  # ‖HΨ − zΨ‖/‖Ψ‖ bound of solve4's chain-sum check
 
 
@@ -465,8 +463,8 @@ def cmd_solve3(args, out: _Out, cfg: RunConfig) -> int:
     res = shift_invert_retry(flat, target, tol=cfg.tol, max_iter=cfg.max_iter, seed=args.seed,
                              shifted_factor=lambda z: _FaddeevShiftedFactor(split, z))
     z = float(np.real(res.value))
-    nearest = float(np.min(np.abs(split.channel_spectrum() - z)))
-    if nearest <= _SPURIOUS_COMMENT_WINDOW:
+    nearest = split.auxiliary_distance(z)
+    if nearest is not None:
         out.comment(
             f"warning: eigenvalue within {_e(nearest)} of the unperturbed spectrum; "
             "likely a spurious (auxiliary) root"
@@ -506,13 +504,14 @@ def cmd_solve4(args, out: _Out, cfg: RunConfig) -> int:
         out.comment(f"auto target from lanczos oracle: {_g(target)}")
     else:
         target = cfg.target
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        res = solve_fourbody_ground_state(
-            sysy, target, tol=cfg.tol, max_iter=cfg.max_iter, seed=args.seed
+    res = solve_fourbody_ground_state(sysy, target, tol=cfg.tol, max_iter=cfg.max_iter,
+                                      seed=args.seed)
+    nearest = split.auxiliary_distance(res.value, range(split.n))
+    if nearest is not None:
+        out.comment(
+            f"warning: eigenvalue {res.value} lies within {nearest:.2e} of an unperturbed or "
+            "channel spectrum point; likely an auxiliary (non-physical) root"
         )
-    for w in caught:
-        out.comment(f"warning: {w.message}")
     z = float(np.real(res.value))
     comps = tuple(np.split(np.real_if_close(res.vector), 18))
     yc = YakubovskyComponents(z=z, components=comps)
@@ -592,15 +591,16 @@ def cmd_hardcore3(args, out: _Out, cfg: RunConfig) -> int:
     bad = 0
     for core in cores:
         m = dataclasses.replace(model, core_radius=core)
-        # Cores run one at a time, so every captured warning belongs to this row.
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = solve_hardcore3(
-                m, target=target, tol=cfg.tol, max_iter=cfg.max_iter,
-                surface_only=args.surface_only, seed=args.seed,
+        result = solve_hardcore3(
+            m, target=target, tol=cfg.tol, max_iter=cfg.max_iter,
+            surface_only=args.surface_only, seed=args.seed,
+        )
+        if not result.physical:
+            out.comment(
+                f"warning: pencil eigenvalue {result.eigen.value} failed physicality filters "
+                f"(core vanishing {result.core_vanishing:.2e}, restricted residual "
+                f"{result.restricted_residual:.2e}); auxiliary root"
             )
-        for w in caught:
-            out.comment(f"warning: {w.message}")
         oracle, rdim = result.ground_state, result.restricted_dim
         z = float(np.real(result.eigen.value))
         diff = abs(z - oracle.value)

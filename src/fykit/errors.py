@@ -66,8 +66,3 @@ class InternalConsistencyError(ToolkitError):
 class ConfigError(ToolkitError):
     """A run configuration file is missing, malformed, or contains unknown
     or out-of-range entries."""
-
-
-class SpuriousRootWarning(UserWarning):
-    """An iterative solve landed on (or near) a point of the auxiliary
-    spectrum of an enlarged operator rather than a physical eigenvalue."""

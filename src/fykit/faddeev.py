@@ -46,6 +46,7 @@ from .errors import (
     PreconditionError,
     SingularMatrixError,
     SpuriousEnergyError,
+    TooLargeError,
 )
 
 __all__ = [
@@ -66,6 +67,7 @@ _NORM_FLOOR = 1e-300
 # Condition estimate above which a (H0 - z) solve is flagged: the formal
 # precondition "z not in the spectrum of H0" made quantitative.
 ILL_CONDITION_THRESHOLD = 1e10
+AUXILIARY_ROOT_WINDOW = 1e-6  # see FewBodySplit.auxiliary_distance
 
 
 @dataclass(frozen=True)
@@ -141,6 +143,20 @@ class FewBodySplit:
         if self.channels is not None:
             return self.channels[0 if part is None else part + 1].spectrum()
         return dense_eigenvalues(self._channel(part))
+
+    def auxiliary_distance(self, z, parts: Sequence[int] = ()) -> Optional[float]:
+        """Distance from z to the first of σ(H0), then σ(H0 + Vα) for α in ``parts``,
+        with a point within :data:`AUXILIARY_ROOT_WINDOW`: a coupled operator has
+        auxiliary roots there. None if none is, or if a spectrum without ``channels``
+        is beyond :func:`dense_limit`."""
+        try:
+            for part in (None, *parts):
+                nearest = float(np.min(np.abs(self.channel_spectrum(part) - z)))
+                if nearest <= AUXILIARY_ROOT_WINDOW:
+                    return nearest
+        except TooLargeError:
+            pass
+        return None
 
     def _channel(self, part: Optional[int]) -> Operator:
         return self.h0 if part is None else self.h0 + self.potentials[part]

@@ -43,7 +43,6 @@ solver attached.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -61,7 +60,6 @@ from .blockops import (
 from .combinatorics import Chain, Pair
 from .errors import (
     InvalidInputError,
-    SpuriousRootWarning,
     TooLargeError,
 )
 from .faddeev import FewBodySplit, _FaddeevShiftedFactor, assemble_faddeev_operator
@@ -297,9 +295,10 @@ class Hardcore3Result:
     ‖Ψ‖; ``restricted_residual`` is the Schrödinger defect of Ψ on the
     restricted space. ``physical`` is the conjunction of both filters at
     their documented thresholds; a False value means the solver landed on an
-    auxiliary pencil root. ``ground_state`` is :func:`ground_state` of the
-    same H, the default target and the value to compare against;
-    ``restricted_dim`` counts the configurations outside every core.
+    auxiliary pencil root, and the two measurements say why. ``ground_state``
+    is :func:`ground_state` of the same H, the default target and the value
+    to compare against; ``restricted_dim`` counts the configurations outside
+    every core.
     """
 
     eigen: EigenResult
@@ -328,8 +327,8 @@ def solve_hardcore3(
     point and a shift at which the wanted pencil root dominates the inverse
     iteration. The pencil's auxiliary roots (B has zero rows) are filtered,
     not trusted: the reconstruction Ψ = Σβ ψβ must vanish on every core site
-    and satisfy the restricted equation, otherwise the result is flagged and
-    a warning raised. ``seed`` fixes the start vector of the inverse iteration.
+    and satisfy the restricted equation, otherwise the result is flagged by
+    ``physical``. ``seed`` fixes the start vector of the inverse iteration.
     The Lanczos ground state is computed under an explicit target too, as the
     reference, so a core no configuration survives raises
     :class:`InvalidInputError`.
@@ -379,14 +378,6 @@ def solve_hardcore3(
     physical = bool(
         core_vanishing <= CORE_VANISHING_TOL and restricted_residual <= RESTRICTED_RESIDUAL_TOL
     )
-    if not physical:
-        warnings.warn(
-            f"pencil eigenvalue {result.value} failed physicality filters "
-            f"(core vanishing {core_vanishing:.2e}, restricted residual "
-            f"{restricted_residual:.2e}); auxiliary root",
-            SpuriousRootWarning,
-            stacklevel=2,
-        )
     return Hardcore3Result(
         eigen=result,
         components=comps,

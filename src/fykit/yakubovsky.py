@@ -38,7 +38,6 @@ instead of assuming it.
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -64,8 +63,6 @@ from .errors import (
     ChannelEnergyError,
     InvalidInputError,
     SingularMatrixError,
-    SpuriousRootWarning,
-    TooLargeError,
 )
 from .faddeev import (
     FaddeevComponents,
@@ -89,7 +86,6 @@ __all__ = [
 ]
 
 _NORM_FLOOR = 1e-300
-_SPURIOUS_WINDOW = 1e-6
 
 
 @functools.cache
@@ -340,36 +336,17 @@ def solve_fourbody_ground_state(
     channels when it carries them (a lattice split, from
     :func:`fykit.lattice.build_split`) and by LU otherwise. The 18-block
     flatten (sparse for lattice models) serves only the products and the
-    post-hoc residual. ``seed`` fixes the start vector. The returned
-    eigenvalue is checked against the unperturbed and channel spectra: the
-    enlarged operator carries auxiliary spectrum there, and landing within
-    1e−6 of it triggers a :class:`SpuriousRootWarning` (the auxiliary set
-    of the 18-block operator is measured, not given by a theorem, so this is
-    a warning rather than an error). A split with Kronecker channels is
-    checked at every size; one without is checked by dense eigenvalues, and
-    only within :func:`~fykit.blockops.dense_limit`. A singular start shift is nudged by
-    :func:`shift_invert_retry`.
+    post-hoc residual. ``seed`` fixes the start vector. A singular start
+    shift is nudged by :func:`shift_invert_retry`. The 18-block operator
+    carries auxiliary spectrum next to the unperturbed and channel spectra;
+    :meth:`FewBodySplit.auxiliary_distance` says whether the returned
+    eigenvalue lies there.
     """
     flat = assemble_yakubovsky_operator(sys).flatten()
     factor = functools.partial(_PairSumFactor, sys)
-    result = shift_invert_retry(
+    return shift_invert_retry(
         flat, target, tol=tol, max_iter=max_iter, seed=seed, shifted_factor=factor
     )
-    z = result.value
-    try:
-        for part in (None, *range(sys.split.n)):
-            nearest = float(np.min(np.abs(sys.split.channel_spectrum(part) - z)))
-            if nearest <= _SPURIOUS_WINDOW:
-                warnings.warn(
-                    f"eigenvalue {z} lies within {nearest:.2e} of an unperturbed or "
-                    "channel spectrum point; likely an auxiliary (non-physical) root",
-                    SpuriousRootWarning,
-                    stacklevel=2,
-                )
-                break
-    except TooLargeError:
-        pass  # no channels, and too large for dense eigenvalues: the check is skipped
-    return result
 
 
 # ----------------------------------------------------------------------

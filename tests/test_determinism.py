@@ -3,8 +3,9 @@
 ``tests/golden`` holds the stdout of the acceptance criterion-8 command
 battery with the ``# config:`` line cut down to the file name, the stdout of
 a hard-core sweep whose explicit target lands on an auxiliary pencil root
-(the warning path), and the stderr of the same sweep with ``max_iter = 1``
-(the error path).
+(the warning path), the stdout of ``solve3`` and ``solve4`` at targets next
+to σ(H0) (their warning paths, in table and machine format), and the stderr
+of the hard-core sweep with ``max_iter = 1`` (the error path).
 """
 
 import json
@@ -24,6 +25,19 @@ GAUSS4 = (
     "potential.params = -3.0, 1.0\n\n[solver]\ntol = 1e-10\n"
 )
 WARNING_SWEEP = ("--sweep", "none,0,1,none,0,1", "--target", "3.0")
+# tiny4 with its target 1e-9 above min σ(H0), and a three-body ring whose target
+# lands next to the σ(H0) point 0: both solves end on an auxiliary root
+TINY4_NEAR_H0 = (
+    "[model]\nN = 4\nL = 4\nboundary = box\nt = 1.0\npotential.kind = onsite\n"
+    "potential.params = -6.0\ncore_radius = none\n\n"
+    "[solver]\ntarget = 1.5278640460004205\ntol = 1e-10\nmax_iter = 200\n"
+)
+RING3_NEAR_H0 = (
+    "[model]\nN = 3\nL = 4\nboundary = ring\nt = 1.0\npotential.kind = onsite\n"
+    "potential.params = -4.0\n\n[solver]\ntarget = 1e-06\n"
+)
+SOLVE_WARNINGS = [("solve4-warning", "solve4", TINY4_NEAR_H0),
+                  ("solve3-warning", "solve3", RING3_NEAR_H0)]
 
 BATTERY = [
     ("chains", ("chains", "--n", "4")),
@@ -68,6 +82,19 @@ def test_hardcore3_warning_path_is_deterministic():
         # the row right after a warning carries the eigenvalue the warning names
         value = float(re.search(r"pencil eigenvalue (\S+)", lines[i]).group(1))
         assert lines[i + 1].split()[2] == f"{value:.12e}"
+
+
+@pytest.mark.parametrize("fmt", ["table", "machine"])
+@pytest.mark.parametrize("name,command,text", SOLVE_WARNINGS, ids=[n for n, _, _ in SOLVE_WARNINGS])
+def test_solve_warning_paths_reproduce_golden_stdout(name, command, text, fmt, tmp_path):
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text(text)
+    proc = run(command, "--config", str(cfg), "--format", fmt)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    golden = GOLDEN / (f"{name}.out" if fmt == "table" else f"{name}.machine.out")
+    assert normalized(proc.stdout) == golden.read_text()
+    assert "\n# warning: eigenvalue " in proc.stdout
 
 
 def test_hardcore3_error_path_is_deterministic(tmp_path):

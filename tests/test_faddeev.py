@@ -17,6 +17,7 @@ from fykit.errors import (
     SpuriousEnergyError,
 )
 from fykit.faddeev import (
+    AUXILIARY_ROOT_WINDOW,
     FewBodySplit,
     assemble_faddeev_operator,
     faddeev_components,
@@ -77,6 +78,20 @@ def test_split_total_is_assembled_once_per_split():
     assert np.array_equal(other.total().materialize(), summed(other))
     assert not np.array_equal(other.total().materialize(), h.materialize())
     assert split.total() is h
+
+
+def test_auxiliary_distance_is_that_of_the_first_spectrum_within_the_window():
+    # σ(H0) = {1, 2}, σ(H0 + V0) ∋ 1 + 4e-7, σ(H0 + V1) ∋ 1 + 3e-6
+    split = FewBodySplit(h0=Operator.diagonal([1.0, 2.0]), potentials=(
+        Operator.diagonal([4e-7, 0.0]), Operator.diagonal([3e-6, 0.0])))
+    # σ(H0) is checked first, though channel 0 is nearer
+    assert split.auxiliary_distance(1.0 + 5e-7, range(2)) == pytest.approx(5e-7, rel=1e-6)
+    # beyond the window of σ(H0) and channel 0, within that of channel 1
+    z = 1.0 + 2.5e-6
+    assert split.auxiliary_distance(z) is None
+    assert split.auxiliary_distance(z, [0]) is None
+    assert split.auxiliary_distance(z, range(2)) == pytest.approx(5e-7, rel=1e-6)
+    assert split.auxiliary_distance(1.0 - 2 * AUXILIARY_ROOT_WINDOW, range(2)) is None
 
 
 def test_components_sum_to_eigenvector():

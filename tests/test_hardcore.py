@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import pencil_models
 from fykit import blockops, lattice
 from fykit.combinatorics import Pair
-from fykit.errors import InvalidInputError, SpuriousRootWarning
+from fykit.errors import InvalidInputError
 from fykit.faddeev import (
     FewBodySplit,
     _FaddeevShiftedFactor,
@@ -256,8 +256,7 @@ def test_solve_hardcore3_at_the_auto_target_finds_the_restricted_ground_state(mo
     # an E0 in σ(H0) is a defective pencil root (free hard-core particles),
     # which the inverse iteration need not reach
     assume(gap > 1e-6)
-    with warnings.catch_warnings(record=True):
-        result = solve_hardcore3(model)
+    result = solve_hardcore3(model)
     # a root accepted as physical is always E0; a nearly free model, whose E0
     # lies within about 1e-4 relative of a defective root, may land off it
     # but is then flagged
@@ -295,9 +294,10 @@ def test_hardcore_ground_state_is_monotone_in_core(tiny3):
 
 def test_solver_flags_auxiliary_roots(tiny3):
     # shifting far below the physical ground state lands on a free-kinetic
-    # pencil root; the filters must refuse it
+    # pencil root; the filters must refuse it, as data and without a warning
     model = with_core(tiny3, 1)
-    with pytest.warns(SpuriousRootWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         result = solve_hardcore3(model, target=0.5)
     assert not result.physical
     assert result.core_vanishing > 1e-2

@@ -1,7 +1,5 @@
 """Chain components: construction, residuals, chain sums, solver, symmetry."""
 
-import warnings
-
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -10,8 +8,8 @@ import scipy.sparse.linalg as spla
 from fykit import blockops
 from fykit.blockops import dense_eigenvalues
 from fykit.combinatorics import all_permutations
-from fykit.errors import InvalidInputError, SpuriousRootWarning
-from fykit.faddeev import faddeev_components, random_split
+from fykit.errors import InvalidInputError
+from fykit.faddeev import AUXILIARY_ROOT_WINDOW, faddeev_components, random_split
 from fykit.lattice import build_permutation, dense_oracle_spectrum, h0_spectrum
 from fykit.yakubovsky import (
     YakubovskyComponents,
@@ -143,10 +141,15 @@ def test_shift_invert_recovers_ground_state(tiny4_system):
     assert res.residual_norm <= 1e-8
 
 
-def test_solver_warns_near_unperturbed_spectrum(tiny4_system):
+def auxiliary_distance(sysy, res):
+    """The distance ``fy solve4`` reports its auxiliary-root comment from."""
+    return sysy.split.auxiliary_distance(res.value, range(sysy.split.n))
+
+
+def test_solver_flags_roots_near_unperturbed_spectrum(tiny4_system):
     lam0 = np.real(dense_eigenvalues(tiny4_system.split.h0, hermitian=True))
-    with pytest.warns(SpuriousRootWarning):
-        solve_fourbody_ground_state(tiny4_system, target=lam0[0] + 1e-9, tol=1e-10)
+    res = solve_fourbody_ground_state(tiny4_system, target=lam0[0] + 1e-9, tol=1e-10)
+    assert auxiliary_distance(tiny4_system, res) <= AUXILIARY_ROOT_WINDOW
 
 
 def test_auxiliary_root_check_ignores_the_dense_limit_on_lattice_splits(
@@ -155,8 +158,8 @@ def test_auxiliary_root_check_ignores_the_dense_limit_on_lattice_splits(
     # the Kronecker channels give every channel spectrum without a dense eigensolver
     monkeypatch.setenv("FY_DENSE_LIMIT", "100")
     assert tiny4_system.dim > 100
-    with pytest.warns(SpuriousRootWarning):
-        solve_fourbody_ground_state(tiny4_system, target=h0_spectrum(tiny4)[0] + 1e-9)
+    res = solve_fourbody_ground_state(tiny4_system, target=h0_spectrum(tiny4)[0] + 1e-9)
+    assert auxiliary_distance(tiny4_system, res) <= AUXILIARY_ROOT_WINDOW
 
 
 def test_auxiliary_root_check_skips_splits_without_channels_beyond_the_dense_limit(
@@ -164,12 +167,11 @@ def test_auxiliary_root_check_skips_splits_without_channels_beyond_the_dense_lim
 ):
     sysy = YakubovskySystem(split=random_split(6, 5, seed=0, hermitian=True))
     target = sla.eigvalsh(sysy.split.h0.materialize())[0] + 1e-9
-    with pytest.warns(SpuriousRootWarning):
-        solve_fourbody_ground_state(sysy, target=target)
+    res = solve_fourbody_ground_state(sysy, target=target)
+    assert auxiliary_distance(sysy, res) <= AUXILIARY_ROOT_WINDOW
     monkeypatch.setenv("FY_DENSE_LIMIT", "4")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", SpuriousRootWarning)
-        solve_fourbody_ground_state(sysy, target=target)
+    res = solve_fourbody_ground_state(sysy, target=target)
+    assert auxiliary_distance(sysy, res) is None
 
 
 def test_component_symmetry_transport(tiny4, tiny4_ground, tiny4_system):
