@@ -18,13 +18,14 @@ singular matrix as :class:`ShiftSingularError`, a :class:`SingularMatrixError`.
 SuperLU orders the columns by minimum degree on Aᵀ + A when the diagonal is
 zero-free: the lattice matrices have a symmetric nonzero pattern,
 and on a lattice H − z that ordering has about half the fill of scipy's
-default COLAMD, which every other matrix keeps. Dense eigensolvers are capped
-by :func:`dense_limit` (default 4096). The ``FY_DENSE_LIMIT``
-environment variable is the one way to change the cap; no config file sets it.
-Beyond the cap only the shift-invert path is available. A grid flattens
-diagonal when it holds diagonal blocks on its block diagonal alone, and sparse
-otherwise, from one set of COO triplets per distinct block object (a coupled
-grid repeats a few operators in many slots). The lattice solvers factor only
+default COLAMD, which every other matrix keeps. Every dense copy, for the
+dense eigensolvers, the oracles or a matrix dump, is made by one gate,
+``_dense``, which refuses a dimension above :data:`DENSE_LIMIT` (4096) before
+it allocates anything; beyond the cap only the shift-invert path is
+available. A grid flattens diagonal when it holds diagonal blocks on its
+block diagonal alone, and sparse otherwise, from one set of COO triplets per
+distinct block object (a coupled grid repeats a few operators in many
+slots). The lattice solvers factor only
 H − z (d-dimensional), solve H0 − z and the channels H0 + Vα − z through their
 Kronecker diagonalizations (:class:`fykit.lattice.KroneckerChannel`) and use
 the flattens for products; the hard-core pencil A − zB itself is factored only
@@ -54,7 +55,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import (
-    ConfigError,
     InvalidInputError,
     ShiftSingularError,
     SingularMatrixError,
@@ -67,7 +67,7 @@ __all__ = [
     "BlockOperator",
     "EigenResult",
     "SpectrumMatch",
-    "dense_limit",
+    "DENSE_LIMIT",
     "dense_eigenvalues",
     "linear_solve",
     "shift_invert_eigenpair",
@@ -77,7 +77,9 @@ __all__ = [
     "dump_matrix_text",
 ]
 
-DEFAULT_DENSE_LIMIT = 4096
+# Largest dimension of which a dense copy is made (dense eigensolvers, oracles,
+# matrix dumps); no factorization and no flatten is capped by it.
+DENSE_LIMIT = 4096
 
 _REFINE_TARGET = 1e-12
 _MAX_REFINE = 10
@@ -85,25 +87,6 @@ _MAX_REFINE = 10
 # this many steps stops
 _CG_STALL = 10
 _MAX_FACTORIZATIONS = 12
-
-
-def dense_limit() -> int:
-    """Largest dimension the dense eigensolvers, the oracles and ``--dump-matrix`` accept.
-
-    Reads ``FY_DENSE_LIMIT`` from the environment so acceptance runs can
-    widen or shrink the budget without code changes. No factorization and
-    no flatten reads it.
-    """
-    raw = os.environ.get("FY_DENSE_LIMIT")
-    if raw is None:
-        return DEFAULT_DENSE_LIMIT
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"FY_DENSE_LIMIT must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ConfigError(f"FY_DENSE_LIMIT must be positive, got {value}")
-    return value
 
 
 def _as_2d_array(a) -> np.ndarray:
@@ -364,7 +347,13 @@ class EigenResult:
 # dense kernels
 
 
-def _coerce_matrix(a) -> np.ndarray:
+def _dense(a, what: str) -> np.ndarray:
+    """The dense array of an :class:`Operator`, a scipy sparse matrix or a square
+    numeric 2-D array; ``what`` is refused with :class:`TooLargeError` when
+    the dimension exceeds :data:`DENSE_LIMIT`, before anything is allocated."""
+    n = a.dim if isinstance(a, Operator) else (np.shape(a) or (0,))[0]
+    if n > DENSE_LIMIT:
+        raise TooLargeError(f"{what} refused: dim {n} exceeds limit {DENSE_LIMIT}")
     if isinstance(a, Operator):
         return a.materialize()
     if sp.issparse(a):
@@ -377,12 +366,10 @@ def dense_eigenvalues(a, hermitian: bool = False) -> np.ndarray:
 
     Delegates to LAPACK's Hessenberg + shifted-QR path (or the symmetric
     tridiagonal path when ``hermitian`` is set, in which case the result is
-    real). Refuses dimensions above :func:`dense_limit`.
+    real). Refuses dimensions above :data:`DENSE_LIMIT`.
     """
-    mat = _coerce_matrix(a)
+    mat = _dense(a, "dense eigenvalues")
     n = mat.shape[0]
-    if n > dense_limit():
-        raise TooLargeError(f"dense eigenvalues refused: dim {n} exceeds limit {dense_limit()}")
     try:
         if hermitian:
             vals = sla.eigvalsh(mat)
@@ -942,10 +929,11 @@ def dump_matrix_text(path, a) -> None:
     """Write a real dense matrix as text: '# rows cols' then one row per line.
 
     Entries are '%.17g' separated by single spaces, which round-trips double
-    precision exactly. Complex matrices are refused; debugging dumps are
-    only defined for the real assembled operators.
+    precision exactly. Complex matrices, and dimensions above
+    :data:`DENSE_LIMIT`, are refused before the file is opened; debugging
+    dumps are only defined for the real assembled operators.
     """
-    mat = _coerce_matrix(a)
+    mat = _dense(a, "matrix dump")
     if np.iscomplexobj(mat):
         raise InvalidInputError("matrix dump is defined for real matrices only")
     with open(path, "w") as fh:

@@ -14,7 +14,8 @@ class InvalidInputError(ToolkitError):
 
 
 class TooLargeError(ToolkitError):
-    """A requested dense computation exceeds the configured dimension cap."""
+    """A requested computation exceeds a dimension cap: the dense-copy cap
+    ``blockops.DENSE_LIMIT`` or a model's ``lattice.DIMENSION_CAP``."""
 
 
 class SingularMatrixError(ToolkitError):

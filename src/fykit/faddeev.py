@@ -138,7 +138,7 @@ class FewBodySplit:
         """The eigenvalues of H0, or of H0 + V_part.
 
         Without ``channels`` they come from :func:`dense_eigenvalues`, which
-        raises :class:`TooLargeError` beyond :func:`dense_limit`.
+        raises :class:`TooLargeError` beyond :data:`~fykit.blockops.DENSE_LIMIT`.
         """
         if self.channels is not None:
             return self.channels[0 if part is None else part + 1].spectrum()
@@ -148,7 +148,7 @@ class FewBodySplit:
         """Distance from z to the first of σ(H0), then σ(H0 + Vα) for α in ``parts``,
         with a point within :data:`AUXILIARY_ROOT_WINDOW`: a coupled operator has
         auxiliary roots there. None if none is, or if a spectrum without ``channels``
-        is beyond :func:`dense_limit`."""
+        is beyond :data:`~fykit.blockops.DENSE_LIMIT`."""
         try:
             for part in (None, *parts):
                 nearest = float(np.min(np.abs(self.channel_spectrum(part) - z)))

@@ -43,7 +43,7 @@ solver attached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -54,14 +54,11 @@ from .blockops import (
     EigenResult,
     Operator,
     _Resolvent,
-    dense_limit,
+    _dense,
     shift_invert_retry,
 )
 from .combinatorics import Chain, Pair
-from .errors import (
-    InvalidInputError,
-    TooLargeError,
-)
+from .errors import InvalidInputError
 from .faddeev import FewBodySplit, _FaddeevShiftedFactor, assemble_faddeev_operator
 from .lattice import (
     LatticeModel,
@@ -156,7 +153,7 @@ def restricted_oracle(model: LatticeModel, k: Optional[int] = None) -> list[Eige
     In-core configurations are deleted: the sparse H is sliced to the kept
     configurations and goes through the same engine as the dense oracle
     (exact-symmetry check, k validated before anything is factored). Only
-    that slice is densified, so ``dense_limit`` gates the restricted
+    that slice is densified, so ``DENSE_LIMIT`` gates the restricted
     dimension, not L^N. Returned eigenvectors are embedded back into the
     full configuration space (zeros on deleted sites) so they compare
     directly with reconstructed pencil states. Residuals are measured in the
@@ -166,11 +163,8 @@ def restricted_oracle(model: LatticeModel, k: Optional[int] = None) -> list[Eige
     if not model.has_core:
         return dense_oracle_spectrum(model, k)
     kept, hr = _restricted_hamiltonian(model, build_hamiltonian(model).to_sparse())
-    if kept.shape[0] > dense_limit():
-        raise TooLargeError(
-            f"restricted oracle refused: dim {kept.shape[0]} exceeds limit {dense_limit()}"
-        )
-    return [_embed(model, kept, r) for r in _lowest_eigh(hr.toarray(), k, "restricted-eigh")]
+    results = _lowest_eigh(_dense(hr, "restricted oracle"), k, "restricted-eigh")
+    return [_embed(model, kept, r) for r in results]
 
 
 def ground_state(model: LatticeModel) -> EigenResult:
@@ -200,19 +194,21 @@ class HardcorePencil:
     """The pencil (A, B) realizing hard-core conditions on three components.
 
     ``constraint_rows`` maps (pair members, site) to the flat row index that
-    carries its constraint; ``collision_count`` counts sites lying in more
-    than one pair's core. Every constraint row has identical content
-    (Σβ ψβ(site) = 0 does not depend on which pair owns it), so a collided
-    site keeps one constraint row while the non-owning pairs retain their
-    free kinetic rows there; their potential already vanishes on the core,
-    making those rows (H0 − z)ψ = 0 without further surgery.
+    carries its constraint. Every constraint row has identical content
+    (Σβ ψβ(site) = 0 does not depend on which pair owns it), so a site
+    inside several cores keeps one constraint row while the non-owning pairs
+    retain their free kinetic rows there; their potential already vanishes
+    on the core, making those rows (H0 − z)ψ = 0 without further surgery.
+    ``split`` is the split the pencil was built from, and ``owner`` the
+    owning pair of each configuration (−1 where no pair owns a constraint).
     """
 
     a: BlockOperator
     b: BlockOperator
     constraint_rows: dict
-    collision_count: int
     surface_only: bool
+    split: FewBodySplit = field(compare=False)
+    owner: np.ndarray = field(compare=False)
 
 
 def _constrain(block: Operator, owned: np.ndarray) -> Operator:
@@ -241,15 +237,6 @@ def assemble_hardcore3_pencil(model: LatticeModel, surface_only: bool = False) -
     it (canonical pair order) and the duplicate rows stay free, which keeps
     the pencil square with one constraint per core site. Without a core no
     site is owned, and the pencil is (Faddeev operator, identity).
-    """
-    return _pencil_and_split(model, surface_only)[0]
-
-
-def _pencil_and_split(
-    model: LatticeModel, surface_only: bool
-) -> tuple[HardcorePencil, FewBodySplit, np.ndarray]:
-    """:func:`assemble_hardcore3_pencil` plus the split it was built from and
-    the owning pair of each configuration (−1 where no pair owns a constraint).
 
     ``split.total()`` sums the terms in the order :func:`build_hamiltonian`
     does, so it is H bit for bit without assembling the terms a second time.
@@ -257,18 +244,15 @@ def _pencil_and_split(
     if model.N != 3:
         raise InvalidInputError(f"three-body pencil needs N=3, got N={model.N}")
     split = build_split(model)
-    pairs = model.pairs()
     faddeev_op = assemble_faddeev_operator(split)
     d = model.dimension
 
     owner = np.full(d, -1, dtype=np.int64)
-    claimed = np.zeros(d, dtype=np.int64)
     constraint_rows: dict = {}
-    for i, pair in enumerate(pairs):
+    for i, pair in enumerate(model.pairs()):
         sites = core_region(model, pair).sites
         if surface_only:  # only the shell at separation exactly c
             sites = sites[separations(model, pair)[sites] == model.core_radius]
-        claimed[sites] += 1
         owned = sites[owner[sites] == -1]
         owner[owned] = i
         constraint_rows.update({(pair.members, s): i * d + s for s in owned.tolist()})
@@ -282,9 +266,8 @@ def _pencil_and_split(
         [[Operator.diagonal(1.0 - owned[i]) if i == j else None for j in range(3)] for i in range(3)],
         block_dim=d,
     )
-    pencil = HardcorePencil(a=a, b=b, constraint_rows=constraint_rows,
-                            collision_count=int(np.sum(claimed > 1)), surface_only=surface_only)
-    return pencil, split, owner
+    return HardcorePencil(a=a, b=b, constraint_rows=constraint_rows, surface_only=surface_only,
+                          split=split, owner=owner)
 
 
 @dataclass(frozen=True)
@@ -339,7 +322,8 @@ def solve_hardcore3(
     3d-dimensional pencil, except within ``H0_SPECTRUM_GUARD`` of σ(H0),
     where A − zB is factored whole.
     """
-    pencil, split, owner = _pencil_and_split(model, surface_only)
+    pencil = assemble_hardcore3_pencil(model, surface_only)
+    split, owner = pencil.split, pencil.owner
     h = split.total().to_sparse()
     kept, hr = _restricted_hamiltonian(model, h)
     gs = _ground_state(model, h, (kept, hr))

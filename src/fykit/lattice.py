@@ -34,7 +34,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 import scipy.linalg as sla
 
-from .blockops import EigenResult, Operator, dense_limit
+from .blockops import EigenResult, Operator, _dense
 from .combinatorics import Pair, enumerate_pairs
 from .errors import InvalidInputError, ShiftSingularError, SolverFailureError, TooLargeError
 from .faddeev import FewBodySplit
@@ -59,7 +59,7 @@ __all__ = [
 ]
 
 # Hard ceiling on the configuration-space dimension L^N of any model; dense
-# work is capped separately by dense_limit() (4096 by default), and sparse
+# copies are capped separately by blockops.DENSE_LIMIT (4096), and sparse
 # builds fill the gap between the two. 20736 = 12^4 keeps four-body work at
 # desk scale.
 DIMENSION_CAP = 20736
@@ -564,10 +564,7 @@ def dense_oracle_spectrum(model: LatticeModel, k: Optional[int] = None) -> list[
     are computed (k=None: all of them), and residuals are recomputed from
     the assembled matrix so each returned pair certifies itself.
     """
-    d = model.dimension
-    if d > dense_limit():
-        raise TooLargeError(f"dense oracle refused: dim {d} exceeds limit {dense_limit()}")
-    return _lowest_eigh(build_hamiltonian(model).materialize(), k, "dense-eigh")
+    return _lowest_eigh(_dense(build_hamiltonian(model), "dense oracle"), k, "dense-eigh")
 
 
 class PermutationOperator:

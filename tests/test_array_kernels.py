@@ -22,7 +22,7 @@ from fykit.faddeev import (
     faddeev_components,
     random_split,
 )
-from fykit.hardcore import _pencil_and_split
+from fykit.hardcore import assemble_hardcore3_pencil
 from fykit.lattice import build_split
 from fykit.yakubovsky import (
     YakubovskyComponents,
@@ -190,7 +190,8 @@ def test_sparse_potentials_in_both_shifted_solves_are_per_potential_bit_for_bit(
 def test_stacked_potentials_on_the_hardcore_path_are_per_potential_bit_for_bit(
     model, surface_only, complex_z, data
 ):
-    pencil, split, owner = _pencil_and_split(model, surface_only)
+    pencil = assemble_hardcore3_pencil(model, surface_only)
+    split, owner = pencil.split, pencil.owner
     free = owner < 0
     assume(free.any())
     h = split.total().materialize()

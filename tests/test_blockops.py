@@ -1,5 +1,7 @@
 """Operator containers, dense kernels, SuperLU solves, shift-invert, spectrum matching."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -15,7 +17,6 @@ from fykit.blockops import (
     _Resolvent,
     _splu,
     dense_eigenvalues,
-    dense_limit,
     dump_matrix_text,
     linear_solve,
     match_into,
@@ -31,7 +32,12 @@ from fykit.errors import (
     TooLargeError,
 )
 
-from fykit.faddeev import assemble_faddeev_operator, faddeev_components, random_split
+from fykit.faddeev import (
+    FewBodySplit,
+    assemble_faddeev_operator,
+    faddeev_components,
+    random_split,
+)
 from fykit.hardcore import assemble_hardcore3_pencil
 from fykit.lattice import (
     LatticeModel,
@@ -245,10 +251,26 @@ def test_dense_eigenvalues_sorted_and_correct():
 
 
 def test_dense_eigenvalues_respects_size_cap(monkeypatch):
-    monkeypatch.setenv("FY_DENSE_LIMIT", "4")
-    assert dense_limit() == 4
+    monkeypatch.setattr(blockops, "DENSE_LIMIT", 4)
     with pytest.raises(TooLargeError):
         dense_eigenvalues(np.eye(5), hermitian=True)
+
+
+def test_dense_kernels_refuse_before_densifying():
+    # one past the cap, a dense copy of the sparse identity would take d²·8 bytes
+    d = blockops.DENSE_LIMIT + 1
+    eye = Operator.sparse(sp.identity(d, format="csr"))
+    split = FewBodySplit(h0=eye, potentials=(eye, eye))  # no channels: σ(H0) by dense eigenvalues
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLargeError,
+                           match=f"^dense eigenvalues refused: dim {d} exceeds limit {d - 1}$"):
+            dense_eigenvalues(eye, hermitian=True)
+        assert split.auxiliary_distance(0.0, range(2)) is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.01 * d * d * 8
 
 
 def test_linear_solve_refines_to_high_accuracy():

@@ -246,6 +246,14 @@ def test_dump_matrix_writes_header(tmp_path):
     assert first == "# 648 648"
 
 
+def test_dump_matrix_refuses_beyond_the_dense_limit(tmp_path):
+    dump = tmp_path / "flat.txt"
+    proc = run_cli("solve4", "--config", "tiny4", "--dump-matrix", str(dump), check=False)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "input error: matrix dump refused: dim 4608 exceeds limit 4096\n"
+    assert not dump.exists()
+
+
 @pytest.mark.parametrize(
     "args",
     [

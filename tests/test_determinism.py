@@ -4,11 +4,14 @@
 battery with the ``# config:`` line cut down to the file name, the stdout of
 a hard-core sweep whose explicit target lands on an auxiliary pencil root
 (the warning path), the stdout of ``solve3`` and ``solve4`` at targets next
-to σ(H0) (their warning paths, in table and machine format), and the stderr
-of the hard-core sweep with ``max_iter = 1`` (the error path).
+to σ(H0) (their warning paths, in table and machine format), the stdout of
+``solve3`` at an eigenvalue where the Lippmann–Schwinger residual is undefined
+(its skipped-check path, in both formats), and the stderr of the hard-core
+sweep with ``max_iter = 1`` (the error path).
 """
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -38,6 +41,12 @@ RING3_NEAR_H0 = (
 )
 SOLVE_WARNINGS = [("solve4-warning", "solve4", TINY4_NEAR_H0),
                   ("solve3-warning", "solve3", RING3_NEAR_H0)]
+# a vanishing on-site well: the auto target, E0, lies 9e-7 from σ(H0), where
+# the Lippmann–Schwinger resolvent (H0 − z)⁻¹ is singular to working precision
+NEAR_FREE3 = (
+    "[model]\nN = 3\nL = 4\nboundary = box\nt = 1.0\npotential.kind = onsite\n"
+    "potential.params = -1e-6\n"
+)
 
 BATTERY = [
     ("chains", ("chains", "--n", "4")),
@@ -51,8 +60,8 @@ BATTERY = [
 ]
 
 
-def run(*args):
-    return subprocess.run(CLI + list(args), capture_output=True, text=True, timeout=300)
+def run(*args, env=None):
+    return subprocess.run(CLI + list(args), capture_output=True, text=True, timeout=300, env=env)
 
 
 def normalized(stdout):
@@ -67,6 +76,13 @@ def test_battery_reproduces_golden_stdout(name, args, tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert normalized(proc.stdout) == (GOLDEN / f"{name}.out").read_text()
+
+
+def test_cli_ignores_the_environment():
+    proc = run("oracle", "--config", "tiny3", "--k", "4",
+               env=dict(os.environ, FY_DENSE_LIMIT="4"))
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert normalized(proc.stdout) == (GOLDEN / "oracle.out").read_text()
 
 
 def test_hardcore3_warning_path_is_deterministic():
@@ -95,6 +111,19 @@ def test_solve_warning_paths_reproduce_golden_stdout(name, command, text, fmt, t
     golden = GOLDEN / (f"{name}.out" if fmt == "table" else f"{name}.machine.out")
     assert normalized(proc.stdout) == golden.read_text()
     assert "\n# warning: eigenvalue " in proc.stdout
+
+
+@pytest.mark.parametrize("fmt", ["table", "machine"])
+def test_solve3_skips_an_undefined_lippmann_schwinger_residual(fmt, tmp_path):
+    cfg = tmp_path / "near-free3.cfg"
+    cfg.write_text(NEAR_FREE3)
+    proc = run("solve3", "--config", str(cfg), "--format", fmt)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    golden = GOLDEN / ("solve3-ls-undefined.out" if fmt == "table"
+                       else "solve3-ls-undefined.machine.out")
+    assert normalized(proc.stdout) == golden.read_text()
+    assert "\n# lippmann-schwinger residual undefined: z = " in proc.stdout
 
 
 def test_hardcore3_error_path_is_deterministic(tmp_path):

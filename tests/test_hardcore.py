@@ -22,7 +22,6 @@ from fykit.faddeev import (
 )
 from fykit.hardcore import (
     Hardcore4Evaluator,
-    _pencil_and_split,
     assemble_hardcore3_pencil,
     assemble_hardcore4_constraints,
     core_region,
@@ -192,7 +191,8 @@ def test_solve_hardcore3_factors_the_pencil_on_the_free_spectrum():
 
 
 def _dense_pencil(model, surface_only):
-    pencil, split, owner = _pencil_and_split(model, surface_only)
+    pencil = assemble_hardcore3_pencil(model, surface_only)
+    split, owner = pencil.split, pencil.owner
     a = pencil.a.flatten().materialize()
     b = pencil.b.flatten().materialize()
     h = split.total().materialize()
@@ -226,7 +226,8 @@ def test_reduced_pencil_solve_matches_a_dense_solve(model, surface_only, data):
 @settings(max_examples=40, deadline=None)
 @given(model=pencil_models(), surface_only=st.booleans(), data=st.data())
 def test_one_pass_pencil_and_lazy_channels_match_their_references(model, surface_only, data):
-    pencil, split, owner = _pencil_and_split(model, surface_only)
+    pencil = assemble_hardcore3_pencil(model, surface_only)
+    split, owner = pencil.split, pencil.owner
     # each block row i of A is K_i·F + (I − K_i), K_i zero on the sites i owns
     want = []
     for i, row in enumerate(assemble_faddeev_operator(split).entries):

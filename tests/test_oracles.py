@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import POTENTIALS
-from fykit import cli, hardcore
+from fykit import blockops, cli, hardcore
 from fykit.blockops import Operator
 from fykit.errors import InvalidInputError, SolverFailureError, TooLargeError
 from fykit.hardcore import ground_state, restricted_oracle, restricted_space
@@ -236,7 +236,7 @@ def test_solve4_auto_target_lands_on_the_ground_state_of_a_bound_cluster(tmp_pat
 
 
 def test_restricted_oracle_is_gated_on_the_restricted_dimension(monkeypatch, tiny3):
-    monkeypatch.setenv("FY_DENSE_LIMIT", "100")
+    monkeypatch.setattr(blockops, "DENSE_LIMIT", 100)
     core1 = LatticeModel(N=3, L=6, potential=tiny3.potential, core_radius=1)
     assert core1.dimension == 216 and restricted_space(core1).shape[0] == 24
     assert restricted_oracle(core1, 1)[0].value == pytest.approx(ground_state(core1).value)

@@ -34,7 +34,7 @@ from fykit import blockops
 from fykit.blockops import Operator, _Resolvent
 from fykit.errors import ShiftSingularError, SingularMatrixError
 from fykit.faddeev import random_split
-from fykit.hardcore import _pencil_and_split
+from fykit.hardcore import assemble_hardcore3_pencil
 from fykit.lattice import LatticeModel, build_hamiltonian, h0_spectrum, hamiltonian_terms
 
 # ----------------------------------------------------------------------
@@ -303,8 +303,8 @@ def pencil_operands(draw):
         potential=draw(POTENTIALS),
         core_radius=draw(st.sampled_from([None, 0, 1])),
     )
-    pencil, split, _ = _pencil_and_split(model, surface_only=draw(st.booleans()))
-    spectrum = split.channel_spectrum()
+    pencil = assemble_hardcore3_pencil(model, surface_only=draw(st.booleans()))
+    spectrum = pencil.split.channel_spectrum()
     k = draw(st.integers(min_value=0, max_value=len(spectrum) - 1))
     offset = draw(st.sampled_from([0.0, 1e-12, -1e-9, 1e-6]))
     return pencil.a.flatten(), pencil.b.flatten(), float(spectrum[k] + offset)

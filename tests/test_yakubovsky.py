@@ -156,7 +156,7 @@ def test_auxiliary_root_check_ignores_the_dense_limit_on_lattice_splits(
     monkeypatch, tiny4, tiny4_system
 ):
     # the Kronecker channels give every channel spectrum without a dense eigensolver
-    monkeypatch.setenv("FY_DENSE_LIMIT", "100")
+    monkeypatch.setattr(blockops, "DENSE_LIMIT", 100)
     assert tiny4_system.dim > 100
     res = solve_fourbody_ground_state(tiny4_system, target=h0_spectrum(tiny4)[0] + 1e-9)
     assert auxiliary_distance(tiny4_system, res) <= AUXILIARY_ROOT_WINDOW
@@ -169,7 +169,7 @@ def test_auxiliary_root_check_skips_splits_without_channels_beyond_the_dense_lim
     target = sla.eigvalsh(sysy.split.h0.materialize())[0] + 1e-9
     res = solve_fourbody_ground_state(sysy, target=target)
     assert auxiliary_distance(sysy, res) <= AUXILIARY_ROOT_WINDOW
-    monkeypatch.setenv("FY_DENSE_LIMIT", "4")
+    monkeypatch.setattr(blockops, "DENSE_LIMIT", 4)
     res = solve_fourbody_ground_state(sysy, target=target)
     assert auxiliary_distance(sysy, res) is None
 
