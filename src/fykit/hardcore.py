@@ -68,6 +68,7 @@ from .lattice import (
     build_split,
     dense_oracle_spectrum,
     separations,
+    symmetry_orbits,
 )
 from .yakubovsky import YakubovskyComponents, YakubovskySystem
 
@@ -170,12 +171,15 @@ def restricted_oracle(model: LatticeModel, k: Optional[int] = None) -> list[Eige
 def ground_state(model: LatticeModel) -> EigenResult:
     """The ground state of H (restricted H for a core) by Lanczos, for auto targets.
 
-    The sparse counterpart of ``restricted_oracle(model, 1)``: ARPACK
-    ``eigsh`` on the sparse (restricted) H, with no dense limit, certified
-    by its own recomputed residual. For a core the vector is embedded back
-    into the full configuration space and the residual is measured in the
-    restricted space. Method ``lanczos``, or ``restricted-lanczos`` for a
-    core.
+    The sparse counterpart of ``restricted_oracle(model, 1)``, with no dense
+    limit: ARPACK ``eigsh`` on PᵀHP for the sparse (restricted) H and the
+    orbit sums P of :func:`~fykit.lattice.symmetry_orbits`. Every
+    off-diagonal entry of H is −t ≤ 0 and a core only deletes rows and
+    columns, so by Perron–Frobenius E0 has an eigenvector ψ ≥ 0, and Σ_g g·ψ
+    is an invariant one: E0 = min σ(PᵀHP), cores, rings and t = 0 included.
+    The vector P·u is embedded back into the full configuration space, and
+    its residual, recomputed on the (restricted) H, certifies it. Method
+    ``lanczos``, or ``restricted-lanczos`` for a core.
     """
     return _ground_state(model, build_hamiltonian(model).to_sparse())
 
@@ -183,10 +187,9 @@ def ground_state(model: LatticeModel) -> EigenResult:
 def _ground_state(model: LatticeModel, h: sp.csr_matrix, restricted=None) -> EigenResult:
     """:func:`ground_state` of the model's H, already assembled as ``h``, and
     of ``restricted``, its :func:`_restricted_hamiltonian`, when given."""
-    if not model.has_core:
-        return _lanczos_ground_state(h, "lanczos")
     kept, hr = restricted or _restricted_hamiltonian(model, h)
-    return _embed(model, kept, _lanczos_ground_state(hr, "restricted-lanczos"))
+    method = "restricted-lanczos" if model.has_core else "lanczos"
+    return _embed(model, kept, _lanczos_ground_state(hr, method, symmetry_orbits(model)[kept]))
 
 
 @dataclass(frozen=True)

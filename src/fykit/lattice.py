@@ -17,9 +17,10 @@ brute-force diagonalization of H = H0 + Σα Vα is the ground-truth oracle the
 component decompositions elsewhere in the package are verified against;
 it computes the lowest k eigenpairs by subset ``eigh``, only as many as the
 caller asks for. Callers that need only the ground-state energy (auto
-targets) take it from implicitly restarted Lanczos on the sparse H instead
-(ARPACK ``eigsh``), which no dense limit gates; like subset ``eigh`` it is a
-different algorithm from the LU plus inverse iteration it steers.
+targets) take it from implicitly restarted Lanczos (ARPACK ``eigsh``) on the
+sparse H's fully symmetric sector under :func:`symmetry_orbits`, which no
+dense limit gates; like subset ``eigh`` it is a different algorithm from the
+LU plus inverse iteration it steers.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import scipy.sparse.linalg as spla
 import scipy.linalg as sla
 
 from .blockops import EigenResult, Operator, _dense
-from .combinatorics import Pair, enumerate_pairs
+from .combinatorics import Pair, all_permutations, enumerate_pairs, permute_pair
 from .errors import InvalidInputError, ShiftSingularError, SolverFailureError, TooLargeError
 from .faddeev import FewBodySplit
 
@@ -54,6 +55,7 @@ __all__ = [
     "dense_oracle_spectrum",
     "build_permutation",
     "separations",
+    "symmetry_orbits",
     "coordinate_table",
     "DIMENSION_CAP",
 ]
@@ -232,6 +234,26 @@ def separations(model: LatticeModel, pair: Pair) -> np.ndarray:
     if model.boundary == "ring":
         delta = np.minimum(delta, model.L - delta)
     return delta
+
+
+def symmetry_orbits(model: LatticeModel) -> np.ndarray:
+    """Orbit labels of the configurations under lattice symmetries of H: each
+    configuration's minimum image over the reflection (x → L−1−x in a box,
+    x → −x mod L on a ring) times every relabeling that maps each pair to a
+    pair with the same potential (all of S_N for identical particles)."""
+    return functools.reduce(np.minimum, _symmetry_maps(model))
+
+
+def _symmetry_maps(model: LatticeModel):
+    """Each element of that group as an index map n ↦ g·n, by stride arithmetic:
+    a relabeling transposes the configuration axes, the reflection flips each."""
+    L, N, pairs = model.L, model.N, model.pairs()
+    flip = np.ix_(*[np.arange(L)[::-1] if model.boundary == "box" else -np.arange(L) % L] * N)
+    configs = np.arange(model.dimension).reshape((L,) * N)
+    for perm in all_permutations(N):
+        if all(model.potential_for(permute_pair(perm, p)) == model.potential_for(p) for p in pairs):
+            relabeled = configs.transpose([p - 1 for p in perm])
+            yield from (relabeled.ravel(), relabeled[flip].ravel())
 
 
 def _one_particle_bonds(model: LatticeModel) -> tuple[np.ndarray, np.ndarray]:
@@ -495,57 +517,77 @@ _LANCZOS_SEED = 20240607
 _LANCZOS_RESIDUAL_TOL = 1e-13
 
 
-def _lanczos_ground_state(h: sp.spmatrix, method: str) -> EigenResult:
+def _orbit_basis(orbits: np.ndarray) -> sp.csr_matrix:
+    """P[n, orbit(n)] = 1/√|orbit|, the orthonormal basis of orbit sums, with
+    the orbits (the distinct labels of ``orbits``) numbered in label order."""
+    _, label, size = np.unique(orbits, return_inverse=True, return_counts=True)
+    return sp.csr_matrix((1.0 / np.sqrt(size[label]), (np.arange(orbits.size), label)))
+
+
+def _gershgorin_shift(h: sp.spmatrix) -> float:
+    """1 − the Gershgorin lower bound of h: h + σI has its spectrum at or above 1."""
+    diag = h.diagonal()
+    return 1.0 - float(np.min(diag + abs(diag) - abs(h).sum(axis=1).A1))
+
+
+def _lanczos_ground_state(h: sp.spmatrix, method: str,
+                          orbits: Optional[np.ndarray] = None) -> EigenResult:
     """Lowest eigenpair of the sparse symmetric h by implicitly restarted Lanczos.
 
-    Exact symmetry is checked on the sparse matrix before anything runs.
-    ARPACK ``eigsh(which="SA")`` starts from a vector of a generator seeded
-    here, which also feeds ARPACK's own restarts, so the result is the same
-    in every run. When h has no nonzero off-diagonal entry (d = 1, or t = 0)
-    ARPACK cannot run, and the ground state is read off the diagonal. The
-    residual is recomputed from h, so the pair certifies itself; a pair that
-    does not converge, or whose residual exceeds its bound, is retried on
-    larger Lanczos bases and then refused with SolverFailureError.
+    Exact symmetry is checked on h before anything runs, and a positive
+    off-diagonal entry is refused. Lanczos runs on S = PᵀhP, made exactly
+    symmetric as (S + Sᵀ)/2, for the :func:`_orbit_basis` P of ``orbits``
+    (default: each row its own orbit, S = h); for the orbits of a group
+    commuting with h, min σ(S) = min σ(h) by Perron–Frobenius. ARPACK
+    ``eigsh(which="SA")`` starts from a vector of a generator seeded here,
+    which also feeds ARPACK's own restarts, so the result is the same in
+    every run. When S has no nonzero off-diagonal entry (one orbit, or t =
+    0) ARPACK cannot run, and the ground state is read off its diagonal. The
+    vector is embedded back as P·u and its residual recomputed from h, so
+    the pair certifies itself; a pair that does not converge, or whose
+    residual exceeds its bound, is retried on larger Lanczos bases and then
+    refused with SolverFailureError.
     """
     h = sp.csr_matrix(h)
     if (h != h.T).nnz:
         asym = abs(h - h.T).max()
         raise InvalidInputError(f"assembled Hamiltonian is not exactly symmetric (max {asym})")
     coo = h.tocoo()
-    diag = h.diagonal()
-    if not np.any(coo.data[coo.row != coo.col]):
-        idx = int(np.argmin(diag))
-        value = float(diag[idx])
-        vec = np.zeros(h.shape[0])
-        vec[idx] = 1.0
+    if np.any(coo.data[coo.row != coo.col] > 0):
+        raise InvalidInputError("Hamiltonian has a positive off-diagonal entry (no Perron–Frobenius)")
+    p = _orbit_basis(np.arange(h.shape[0]) if orbits is None else orbits)
+    s = p.T @ h @ p
+    s, m = ((s + s.T) / 2).tocoo(), p.shape[1]
+    if not np.any(s.data[s.row != s.col]):
+        idx = int(np.argmin(s.diagonal()))
+        value, vec = float(s.diagonal()[idx]), p[:, idx].toarray().ravel()
     else:
         # ARPACK misses a Ritz value within about 1e-19 of zero (an isolated
-        # configuration of zero energy, say), so it runs on h + σI, whose
-        # spectrum the Gershgorin bound puts at or above 1
-        sigma = 1.0 - np.min(diag + abs(diag) - abs(h).sum(axis=1).A1)
-        shifted = h + sigma * sp.identity(h.shape[0], format="csr")
+        # configuration of zero energy, say), so it runs on S + σI, whose
+        # spectrum the Gershgorin bound puts at or above 1; the certificate
+        # is judged against h's own bound
+        sigma, sigma_h = _gershgorin_shift(s), _gershgorin_shift(h)
+        shifted = s.tocsr() + sigma * sp.identity(m, format="csr")
         # A ground state packed in a tight cluster (tiny hopping against the
         # potential) or degenerate across hard-core ordering sectors can
         # stall a 20-vector basis or leave its Ritz vector far off its
         # estimate; the same start then runs again on larger bases (512
-        # spans the whole space of every model up to L^N = 512). ARPACK stops a
+        # spans the whole sector of every model up to L^N = 512). ARPACK stops a
         # decade inside the certificate: machine ε costs up to 2.6× the products.
         for ncv in (20, 128, 512):
             rng = np.random.default_rng(_LANCZOS_SEED)
-            v0 = rng.uniform(-1.0, 1.0, h.shape[0])
+            v0 = rng.uniform(-1.0, 1.0, m)
             try:
                 vals, vecs = spla.eigsh(shifted, k=1, which="SA", tol=_LANCZOS_RESIDUAL_TOL / 10,
-                                        v0=v0, rng=rng, ncv=min(ncv, h.shape[0]))
+                                        v0=v0, rng=rng, ncv=min(ncv, m))
             except spla.ArpackNoConvergence:
                 continue
-            value, vec = float(vals[0]) - sigma, vecs[:, 0]
-            if np.linalg.norm(h @ vec - value * vec) <= _LANCZOS_RESIDUAL_TOL * float(vals[0]):
+            value, vec = float(vals[0]) - sigma, p @ vecs[:, 0]
+            if np.linalg.norm(h @ vec - value * vec) <= _LANCZOS_RESIDUAL_TOL * (value + sigma_h):
                 break
         else:
-            raise SolverFailureError(
-                f"Lanczos ground state not certified at dim {h.shape[0]}",
-                diagnostics={"dim": h.shape[0]},
-            )
+            raise SolverFailureError(f"Lanczos ground state not certified at dim {m}",
+                                     diagnostics={"dim": m})
     return EigenResult(
         value=value,
         vector=vec,

@@ -138,15 +138,15 @@ def test_hardcore3_error_path_is_deterministic(tmp_path):
 
 
 def test_hardcore3_keeps_superlu_noise_off_the_streams(tmp_path):
-    # the oracle target 6.0 of core 1 is an exact pencil eigenvalue, so SuperLU
-    # fails on the start shift; the BLAS prints its complaint to fd 1 then
+    # the target 6.0, the ground state of core 1, is an exact pencil eigenvalue,
+    # so SuperLU fails on the start shift; the BLAS prints its complaint to fd 1 then
     cfg = tmp_path / "onsite.cfg"
     cfg.write_text(
         "[model]\nN = 3\nL = 5\nboundary = box\nt = 1.0\npotential.kind = onsite\n"
         "potential.params = -3.0\ncore_radius = 1\n"
     )
-    runs = [run("hardcore3", "--config", str(cfg), "--sweep", "none,0,1", "--format", "machine")
-            for _ in range(2)]
+    runs = [run("hardcore3", "--config", str(cfg), "--sweep", "none,0,1", "--format", "machine",
+                "--target", "6.0") for _ in range(2)]
     assert all(p.returncode == 3 and p.stderr == "" for p in runs)
     assert runs[0].stdout == runs[1].stdout
     lines = runs[0].stdout.splitlines()

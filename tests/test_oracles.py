@@ -11,7 +11,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import POTENTIALS
+from conftest import _PAIR_KEYS, POTENTIALS
 from fykit import blockops, cli, hardcore
 from fykit.blockops import Operator
 from fykit.errors import InvalidInputError, SolverFailureError, TooLargeError
@@ -21,8 +21,12 @@ from fykit.lattice import (
     LatticeModel,
     PairPotential,
     _lanczos_ground_state,
+    _orbit_basis,
+    _symmetry_maps,
     build_hamiltonian,
     dense_oracle_spectrum,
+    hamiltonian_terms,
+    symmetry_orbits,
 )
 
 
@@ -159,13 +163,22 @@ def test_lanczos_finds_an_isolated_zero_energy_state():
 
 
 def test_lanczos_retries_a_tight_cluster_on_a_larger_basis(monkeypatch):
-    # hopping 1e-6 against an on-site 3.0: 60 ground levels within about 1e-5;
-    # 20 Lanczos vectors do not converge, 125 (the whole space) do
-    model = LatticeModel(N=3, L=5, t=1e-6, potential=PairPotential.table([3.0]))
+    # hopping 1e-6 against an on-site 3.0: the 120 configurations with no two
+    # particles on one site form a ground cluster about 1e-5 wide. The three
+    # pairs carry that potential written three ways, so H is the identical
+    # model's bit for bit but no relabeling is a symmetry: only the reflection
+    # is, and its sector (108 of 216) still stalls 20 Lanczos vectors
+    same = (PairPotential.onsite(3.0), PairPotential.square(3.0, 0.0))
+    model = LatticeModel(N=3, L=6, t=1e-6, potential=PairPotential.table([3.0]),
+                         per_pair={(1, 2): same[0], (1, 3): same[1]})
+    identical = LatticeModel(N=3, L=6, t=1e-6, potential=PairPotential.table([3.0]))
+    h = build_hamiltonian(model).materialize()
+    assert np.array_equal(h, build_hamiltonian(identical).materialize())
+    assert np.unique(symmetry_orbits(model)).size == 108
     calls = _spy_on_eigsh(monkeypatch)
     r = ground_state(model)
-    lam = np.linalg.eigvalsh(build_hamiltonian(model).materialize())[0]
-    assert calls == [(1, 20), (1, 125)]
+    lam = np.linalg.eigvalsh(h)[0]
+    assert calls == [(1, 20), (1, 108)]
     assert abs(r.value - lam) <= 1e-12 * (1.0 + abs(lam))
     assert r.residual_norm <= 1e-10
 
@@ -175,12 +188,13 @@ def test_lanczos_turns_no_convergence_into_a_solver_failure(monkeypatch):
 
     def stall(*args, **kwargs):
         calls.append(kwargs["ncv"])
-        raise spla.ArpackNoConvergence("stalled", np.empty(0), np.empty((16, 0)))
+        raise spla.ArpackNoConvergence("stalled", np.empty(0), np.empty((6, 0)))
 
     monkeypatch.setattr(spla, "eigsh", stall)
-    with pytest.raises(SolverFailureError, match="not certified at dim 16"):
+    # the 16 configurations fall into 6 orbits of the reflection and the swap
+    with pytest.raises(SolverFailureError, match="not certified at dim 6"):
         ground_state(LatticeModel(N=2, L=4))
-    assert calls == [16, 16, 16]
+    assert calls == [6, 6, 6]
 
 
 @pytest.mark.parametrize("core", [None, 0])
@@ -194,6 +208,85 @@ def test_lanczos_oracle_refuses_an_asymmetric_hamiltonian(monkeypatch, core):
     with pytest.raises(InvalidInputError, match="not exactly symmetric"):
         ground_state(model)
     assert calls == []
+
+
+@pytest.mark.parametrize("core", [None, 0])
+def test_lanczos_oracle_refuses_a_positive_off_diagonal_entry(monkeypatch, core):
+    # Perron–Frobenius no longer puts the ground state in the symmetric sector
+    model = LatticeModel(N=3, L=4, core_radius=core)
+    h = build_hamiltonian(model).to_sparse().tolil()
+    kept = restricted_space(model)
+    h[kept[0], kept[1]] = h[kept[1], kept[0]] = 0.5
+    monkeypatch.setattr(hardcore, "build_hamiltonian", lambda m: Operator.sparse(h.tocsr()))
+    calls = _spy_on_eigsh(monkeypatch)
+    with pytest.raises(InvalidInputError, match="positive off-diagonal entry"):
+        ground_state(model)
+    assert calls == []
+
+
+@st.composite
+def sector_models(draw):
+    """Models of N 1-4 (L^N ≤ 256) of every kind the ground-state finder takes."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    L = draw(st.integers(min_value=2, max_value=max(L for L in range(2, 17) if L ** n <= 256)))
+    keys = [key for key in _PAIR_KEYS if max(key) <= n]
+    per_pair = draw(st.dictionaries(st.sampled_from(keys), POTENTIALS, max_size=3)) if keys else None
+    return LatticeModel(
+        N=n,
+        L=L,
+        boundary=draw(st.sampled_from(["box", "ring"])),
+        t=draw(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=2.0))),
+        potential=draw(POTENTIALS),
+        core_radius=draw(st.sampled_from([None, 0, 1, 2]).filter(lambda c: c is None or c < L)),
+        per_pair=per_pair or None,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(model=sector_models())
+@example(model=LatticeModel(N=4, L=3, boundary="ring", potential=PairPotential.onsite(-2.0),
+                            per_pair={(1, 2): PairPotential.onsite(-1.0)}, core_radius=0))
+@example(model=LatticeModel(N=1, L=2))
+def test_the_symmetric_sector_holds_the_ground_state(model):
+    h0, _, pots = hamiltonian_terms(model)
+    h0, pots, h = h0.materialize(), [v.diagonal_data for v in pots], build_hamiltonian(model).materialize()
+    maps = list(_symmetry_maps(model))
+    for g in maps:
+        # each element fixes H0 and permutes the pair potentials, bit for bit; H,
+        # their floating-point sum, only up to the order of the additions
+        assert np.array_equal(h0[np.ix_(g, g)], h0)
+        assert sorted(v[g].tobytes() for v in pots) == sorted(v.tobytes() for v in pots)
+        assert np.allclose(h[np.ix_(g, g)], h, rtol=0.0, atol=8 * np.finfo(float).eps * np.abs(h).max())
+    kept = restricted_space(model)
+    if kept.shape[0] == 0:
+        return
+    orbits = symmetry_orbits(model)
+    assert all(np.array_equal(orbits[g], orbits) for g in maps)
+    p = _orbit_basis(orbits[kept]).toarray()
+    assert np.allclose(p.T @ p, np.eye(p.shape[1]), rtol=0.0, atol=1e-15)
+    hr = h[np.ix_(kept, kept)]
+    lam = np.linalg.eigvalsh(hr)[0]
+    assert abs(np.linalg.eigvalsh(p.T @ hr @ p)[0] - lam) <= 1e-12 * (1.0 + abs(lam))
+    r = ground_state(model)
+    assert abs(r.value - lam) <= 1e-12 * (1.0 + abs(lam))
+    assert r.residual_norm <= 1e-10
+
+
+def test_auto_target_runs_lanczos_on_the_symmetric_sector(monkeypatch, capsys, tmp_path, tiny3):
+    tiny3_cfg = resources.files("fykit").joinpath("configs", "tiny3.cfg").read_text()
+    cfg = tmp_path / "tiny3-auto.cfg"
+    cfg.write_text(tiny3_cfg.replace("target = -7.6", "target = auto"))
+    dims = []
+    real = spla.eigsh
+
+    def spy(a, **kwargs):
+        dims.append(a.shape[0])
+        return real(a, **kwargs)
+
+    monkeypatch.setattr(spla, "eigsh", spy)
+    assert len(_auto_target_line(capsys, cfg, "1")) == 1
+    # 216 configurations, 28 orbits of the reflection × S_3
+    assert tiny3.dimension == 216 and dims == [np.unique(symmetry_orbits(tiny3)).size] == [28]
 
 
 def _auto_target_line(capsys, cfg, seed):
