@@ -530,15 +530,14 @@ def _gershgorin_shift(h: sp.spmatrix) -> float:
     return 1.0 - float(np.min(diag + abs(diag) - abs(h).sum(axis=1).A1))
 
 
-def _lanczos_ground_state(h: sp.spmatrix, method: str,
-                          orbits: Optional[np.ndarray] = None) -> EigenResult:
+def _lanczos_ground_state(h: sp.spmatrix, method: str, orbits: np.ndarray) -> EigenResult:
     """Lowest eigenpair of the sparse symmetric h by implicitly restarted Lanczos.
 
     Exact symmetry is checked on h before anything runs, and a positive
     off-diagonal entry is refused. Lanczos runs on S = PᵀhP, made exactly
-    symmetric as (S + Sᵀ)/2, for the :func:`_orbit_basis` P of ``orbits``
-    (default: each row its own orbit, S = h); for the orbits of a group
-    commuting with h, min σ(S) = min σ(h) by Perron–Frobenius. ARPACK
+    symmetric as (S + Sᵀ)/2, for the :func:`_orbit_basis` P of ``orbits``,
+    one label per row of h; for the orbits of a group commuting with h,
+    min σ(S) = min σ(h) by Perron–Frobenius. ARPACK
     ``eigsh(which="SA")`` starts from a vector of a generator seeded here,
     which also feeds ARPACK's own restarts, so the result is the same in
     every run. When S has no nonzero off-diagonal entry (one orbit, or t =
@@ -555,7 +554,7 @@ def _lanczos_ground_state(h: sp.spmatrix, method: str,
     coo = h.tocoo()
     if np.any(coo.data[coo.row != coo.col] > 0):
         raise InvalidInputError("Hamiltonian has a positive off-diagonal entry (no Perron–Frobenius)")
-    p = _orbit_basis(np.arange(h.shape[0]) if orbits is None else orbits)
+    p = _orbit_basis(orbits)
     s = p.T @ h @ p
     s, m = ((s + s.T) / 2).tocoo(), p.shape[1]
     if not np.any(s.data[s.row != s.col]):

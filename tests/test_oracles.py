@@ -144,7 +144,7 @@ def test_lanczos_stopped_short_of_machine_precision_still_meets_its_certificate(
 def test_lanczos_reads_a_diagonal_hamiltonian_without_arpack(monkeypatch, h):
     # ARPACK raises TypeError at n = 1 and error -9 on the zero matrix
     calls = _spy_on_eigsh(monkeypatch)
-    r = _lanczos_ground_state(h, "lanczos")
+    r = _lanczos_ground_state(h, "lanczos", np.arange(h.shape[0]))
     diag = h.diagonal()
     assert calls == []
     assert r.value == diag.min()
@@ -156,7 +156,7 @@ def test_lanczos_finds_an_isolated_zero_energy_state():
     # unshifted ARPACK returns the lowest level of the chain, 2.0079, not the 0.0
     chain = sp.diags([np.full(23, -0.5), np.ones(24), np.full(23, -0.5)], [-1, 0, 1])
     h = sp.block_diag([sp.csr_matrix([[0.0]]), 2.0 * sp.identity(24) + chain], format="csr")
-    r = _lanczos_ground_state(h, "lanczos")
+    r = _lanczos_ground_state(h, "lanczos", np.arange(h.shape[0]))
     assert abs(r.value) <= 1e-14
     assert abs(abs(r.vector[0]) - 1.0) <= 1e-14
     assert r.residual_norm <= 1e-14
