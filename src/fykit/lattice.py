@@ -245,15 +245,16 @@ def symmetry_orbits(model: LatticeModel) -> np.ndarray:
 
 
 def _symmetry_maps(model: LatticeModel):
-    """Each element of that group as an index map n ↦ g·n, by stride arithmetic:
-    a relabeling transposes the configuration axes, the reflection flips each."""
+    """Each element of that group as an index map n ↦ g·n: a relabeling's
+    :func:`build_permutation` map, alone and composed with the reflection,
+    which flips every configuration axis; both by stride arithmetic."""
     L, N, pairs = model.L, model.N, model.pairs()
-    flip = np.ix_(*[np.arange(L)[::-1] if model.boundary == "box" else -np.arange(L) % L] * N)
-    configs = np.arange(model.dimension).reshape((L,) * N)
+    flip = np.arange(L)[::-1] if model.boundary == "box" else -np.arange(L) % L
+    reflection = np.arange(model.dimension).reshape((L,) * N)[np.ix_(*[flip] * N)].ravel()
     for perm in all_permutations(N):
         if all(model.potential_for(permute_pair(perm, p)) == model.potential_for(p) for p in pairs):
-            relabeled = configs.transpose([p - 1 for p in perm])
-            yield from (relabeled.ravel(), relabeled[flip].ravel())
+            relabel = build_permutation(model, perm).index_map
+            yield from (relabel, relabel[reflection])
 
 
 def _one_particle_bonds(model: LatticeModel) -> tuple[np.ndarray, np.ndarray]:
@@ -667,11 +668,11 @@ def build_permutation(model: LatticeModel, perm: Sequence[int]) -> PermutationOp
     ``perm[i-1]`` is π(i). The index map sends configuration n with
     coordinates x to the configuration with coordinates (x_{π(1)}, ...,
     x_{π(N)}): applying the operator reads each vector entry from there.
+    It is built by stride arithmetic, as the configuration index array with
+    its axes transposed by π⁻¹.
     """
     perm = tuple(int(p) for p in perm)
     if sorted(perm) != list(range(1, model.N + 1)):
         raise InvalidInputError(f"{perm} is not a permutation of 1..{model.N}")
-    coords = coordinate_table(model)
-    permuted = np.stack([coords[perm[i] - 1] for i in range(model.N)])
-    index_map = np.ravel_multi_index(tuple(permuted), (model.L,) * model.N)
-    return PermutationOperator(perm, index_map.astype(np.int64), _parity(perm))
+    configs = np.arange(model.dimension, dtype=np.int64).reshape((model.L,) * model.N)
+    return PermutationOperator(perm, configs.transpose(np.argsort(perm)).ravel(), _parity(perm))
