@@ -520,9 +520,10 @@ _LANCZOS_RESIDUAL_TOL = 1e-13
 
 def _orbit_basis(orbits: np.ndarray) -> sp.csr_matrix:
     """P[n, orbit(n)] = 1/√|orbit|, the orthonormal basis of orbit sums, with
-    the orbits (the distinct labels of ``orbits``) numbered in label order."""
-    _, label, size = np.unique(orbits, return_inverse=True, return_counts=True)
-    return sp.csr_matrix((1.0 / np.sqrt(size[label]), (np.arange(orbits.size), label)))
+    the orbits (the distinct integer labels ≥ 0 of ``orbits``) numbered in label order."""
+    count = np.bincount(orbits)
+    label, size = (np.cumsum(count > 0) - 1)[orbits], count[orbits]
+    return sp.csr_matrix((1.0 / np.sqrt(size), (np.arange(orbits.size), label)))
 
 
 def _gershgorin_shift(h: sp.spmatrix) -> float:
@@ -552,8 +553,7 @@ def _lanczos_ground_state(h: sp.spmatrix, method: str, orbits: np.ndarray) -> Ei
     if (h != h.T).nnz:
         asym = abs(h - h.T).max()
         raise InvalidInputError(f"assembled Hamiltonian is not exactly symmetric (max {asym})")
-    coo = h.tocoo()
-    if np.any(coo.data[coo.row != coo.col] > 0):
+    if np.any(sp.triu(h, 1).data > 0):  # h is symmetric by now
         raise InvalidInputError("Hamiltonian has a positive off-diagonal entry (no Perron–Frobenius)")
     p = _orbit_basis(orbits)
     s = p.T @ h @ p

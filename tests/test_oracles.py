@@ -249,7 +249,8 @@ def sector_models(draw):
 @example(model=LatticeModel(N=1, L=2))
 def test_the_symmetric_sector_holds_the_ground_state(model):
     h0, _, pots = hamiltonian_terms(model)
-    h0, pots, h = h0.materialize(), [v.diagonal_data for v in pots], build_hamiltonian(model).materialize()
+    h0, pots = h0.materialize(), [v.diagonal_data for v in pots]
+    h = build_hamiltonian(model).materialize()
     maps = list(_symmetry_maps(model))
     for g in maps:
         # each element fixes H0 and permutes the pair potentials, bit for bit; H,
