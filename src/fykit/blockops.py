@@ -35,8 +35,8 @@ matrix positive definite (H0 − z below the free spectrum) and by SuperLU
 otherwise.
 
 Every shift-invert solve in the package goes through
-:func:`shift_invert_retry`, which retries a singular start shift with a
-nudged target.
+:func:`shift_invert_eigenpair`, which steps every factorization off a
+singular shift by one ladder (:func:`_factor_stepping_off`).
 """
 
 from __future__ import annotations
@@ -71,8 +71,6 @@ __all__ = [
     "dense_eigenvalues",
     "linear_solve",
     "shift_invert_eigenpair",
-    "shift_invert_retry",
-    "match_spectra",
     "match_into",
     "dump_matrix_text",
 ]
@@ -503,7 +501,7 @@ class _Resolvent:
                               else z * _stored_csr(b))
         self.dtype, self.refine = self.shifted.dtype, refine
         if not refine:
-            self.lu  # a singular shift raises here, where the shift-invert retry expects it
+            self.lu  # a singular shift raises here, where the shift-invert step-off expects it
 
     @functools.cached_property
     def positive(self) -> Optional[sp.csr_matrix]:
@@ -659,6 +657,19 @@ def _splu(mat):
             os.close(fd)
 
 
+def _factor_stepping_off(shifted_factor: Callable, z):
+    """``(shifted_factor(z), z)``, or the same at the first of z′ = z + 1e−8·(1 + |z|)
+    and z′ + 1.01e−6·(1 + |z′|) that is not singular; when all three are, the
+    last :class:`ShiftSingularError` is re-raised."""
+    for step in (1e-8, 1e-8 + 1e-6, None):
+        try:
+            return shifted_factor(z), z
+        except ShiftSingularError:
+            if step is None:
+                raise
+            z = z + step * (1.0 + abs(z))
+
+
 def shift_invert_eigenpair(
     a,
     target,
@@ -700,8 +711,10 @@ def shift_invert_eigenpair(
     are bit-identical and the reported residual cannot drift from the
     iterate that produced it.
 
-    Raises :class:`ShiftSingularError` when the shifted matrix cannot be
-    factored (:func:`shift_invert_retry` perturbs the target and retries), and
+    Every factorization, at ``target`` and at each Rayleigh quotient, steps
+    off a singular shift (:func:`_factor_stepping_off`); a refactorization
+    that cannot keeps the factor in hand. Raises :class:`ShiftSingularError`
+    when the start shift cannot be stepped off or a solve is non-finite, and
     :class:`SolverFailureError` with diagnostics when the iteration budget
     is exhausted.
     """
@@ -717,8 +730,7 @@ def shift_invert_eigenpair(
     z = complex(target) if complex_problem else float(np.real(target))
     if shifted_factor is None:
         shifted_factor = functools.partial(_Resolvent, amat, b=bmat, refine=False)
-    factor = shifted_factor(z)
-    factorizations = 1
+    factor, z = _factor_stepping_off(shifted_factor, z)
     shifts = [z]
 
     rng = np.random.default_rng(seed)
@@ -727,11 +739,9 @@ def shift_invert_eigenpair(
         v = v + 1j * rng.standard_normal(n)
     v = v / np.linalg.norm(v)
 
-    best_res = np.inf
-    best_pair = None
+    best_res = np.inf  # for the failure diagnostics only
     prev_res = np.inf
     stall = 0
-    iterations = 0
 
     for iterations in range(1, max_iter + 1):
         rhs = v if bmat is None else bmat @ v
@@ -753,30 +763,20 @@ def shift_invert_eigenpair(
             )
         rq = np.vdot(bv, av) / denom
         res = float(np.linalg.norm(av - rq * bv))
-        if res < best_res:
-            best_res = res
-            best_pair = (rq, v.copy())
+        best_res = min(best_res, res)
         if res <= tol:
             break
         stall = stall + 1 if res > 0.7 * prev_res else 0
         prev_res = res
-        if stall >= 2 and factorizations < _MAX_FACTORIZATIONS:
-            # Refactor at the Rayleigh quotient; if that shift is an exact
-            # eigenvalue the factorization is singular, so back off slightly.
-            for nudge in (0.0, 1e-8, 1e-6):
-                znew = rq + nudge * (1.0 + abs(rq))
-                if not complex_problem:
-                    znew = float(np.real(znew))
-                try:
-                    factor = shifted_factor(znew)
-                except ShiftSingularError:
-                    continue
-                z = znew
-                factorizations += 1
-                shifts.append(z)
-                stall = 0
-                prev_res = np.inf
-                break
+        if stall >= 2 and len(shifts) < _MAX_FACTORIZATIONS:
+            try:  # refactor at the Rayleigh quotient
+                factor, z = _factor_stepping_off(
+                    shifted_factor, rq if complex_problem else float(np.real(rq)))
+            except ShiftSingularError:
+                continue  # keep the factor in hand
+            shifts.append(z)
+            stall = 0
+            prev_res = np.inf
     else:
         raise SolverFailureError(
             f"shift-invert did not reach tol={tol:.1e} in {max_iter} iterations",
@@ -786,14 +786,8 @@ def shift_invert_eigenpair(
                 "shift_history": shifts,
             },
         )
-    if best_pair is None or best_res > tol:
-        raise SolverFailureError(
-            "shift-invert terminated without a residual at tolerance",
-            diagnostics={"iterations": iterations, "best_residual": best_res},
-        )
 
-    value, vec = best_pair
-    vec = vec.copy()
+    value, vec = rq, v
     # Deterministic phase: largest-magnitude entry made real and positive.
     k = int(np.argmax(np.abs(vec)))
     pivot = vec[k]
@@ -818,39 +812,9 @@ def shift_invert_eigenpair(
         residual_norm=final_res,
         iterations=iterations,
         method="shift-invert-rq",
-        factorizations=factorizations,
+        factorizations=len(shifts),
         shift_history=tuple(shifts),
     )
-
-
-def shift_invert_retry(
-    a,
-    target,
-    b=None,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-    seed: int = 12345,
-    shifted_factor: Optional[Callable] = None,
-) -> EigenResult:
-    """:func:`shift_invert_eigenpair` from ``target``, nudged off a singular shift.
-
-    A singular start shift only means the target is an eigenvalue, so the
-    target t is retried at t + 1e−8·(1 + |t|) and then at
-    t′ + 1.01e−6·(1 + |t′|) before the last :class:`ShiftSingularError` is
-    re-raised. Every other argument is passed through unchanged.
-    """
-    shift = float(target)
-    last = None
-    for attempt in range(3):
-        try:
-            return shift_invert_eigenpair(
-                a, shift, b=b, tol=tol, max_iter=max_iter, seed=seed,
-                shifted_factor=shifted_factor,
-            )
-        except ShiftSingularError as exc:
-            last = exc
-            shift = shift + (1e-8 + attempt * 1e-6) * (1.0 + abs(shift))
-    raise last
 
 
 # ----------------------------------------------------------------------
@@ -891,23 +855,6 @@ def _greedy_match(a: np.ndarray, pool: np.ndarray) -> tuple[list, np.ndarray]:
         pairs.append((val, pool[j]))
         dists[i] = d[j]
     return pairs, dists
-
-
-def match_spectra(computed, reference) -> SpectrumMatch:
-    """Match two equal-size eigenvalue multisets greedily, nearest first.
-
-    Both multisets are sorted by (real, imag); each reference value then
-    claims the nearest unused computed value. The maximum matched distance
-    is the figure of merit quoted by every spectrum identity check.
-    """
-    a = _sorted_complex(reference)
-    b = _sorted_complex(computed)
-    if a.shape[0] != b.shape[0]:
-        raise InvalidInputError(
-            f"spectrum size mismatch: {b.shape[0]} computed vs {a.shape[0]} reference"
-        )
-    pairs, dists = _greedy_match(a, b)
-    return SpectrumMatch(pairs=tuple(pairs), distances=dists, max_distance=float(dists.max()))
 
 
 def match_into(values, pool) -> SpectrumMatch:

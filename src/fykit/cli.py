@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .blockops import dump_matrix_text, shift_invert_retry
+from .blockops import dump_matrix_text, shift_invert_eigenpair
 from .combinatorics import chain_orbits, enumerate_chains, verify_chain_identity
 from .errors import (
     ChannelEnergyError,
@@ -448,8 +448,8 @@ def cmd_solve3(args, out: _Out, cfg: RunConfig) -> int:
         out.comment(f"auto target from lanczos oracle: {_g(target)}")
     else:
         target = cfg.target
-    res = shift_invert_retry(flat, target, tol=cfg.tol, max_iter=cfg.max_iter, seed=args.seed,
-                             shifted_factor=lambda z: _FaddeevShiftedFactor(split, z))
+    res = shift_invert_eigenpair(flat, target, tol=cfg.tol, max_iter=cfg.max_iter, seed=args.seed,
+                                 shifted_factor=lambda z: _FaddeevShiftedFactor(split, z))
     z = float(np.real(res.value))
     nearest = split.auxiliary_distance(z)
     if nearest is not None:

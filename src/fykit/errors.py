@@ -24,8 +24,8 @@ class SingularMatrixError(ToolkitError):
 
 class ShiftSingularError(SingularMatrixError):
     """A shift is an eigenvalue exactly, so the shifted matrix cannot be
-    factored: a singular system to a linear solve, and a target to perturb
-    and retry to a shift-invert caller."""
+    factored: a singular system to a linear solve, and a shift to step off
+    to the shift-invert driver."""
 
 
 class SolverFailureError(ToolkitError):

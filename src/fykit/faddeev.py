@@ -327,13 +327,12 @@ class _FaddeevShiftedFactor:
     (H0 − z) sα = K_α(rα − Vα Ψ) + (I − K_α) μ, with K_α zero exactly on the
     sites α owns and μ = (H0 − z) Ψ − Σα K_α (rα − Vα Ψ), which makes
     Σα sα = Ψ. The pencil is singular exactly when z ∈ σ(H_RR) ∪ σ(H0).
-    ``h`` is H (an operator or matrix) when the caller holds it already.
     """
 
-    def __init__(self, split: FewBodySplit, z, owner: Optional[np.ndarray] = None, h=None):
+    def __init__(self, split: FewBodySplit, z, owner: Optional[np.ndarray] = None):
         self.split = split
         self.h0_op, self.z = split.h0, z
-        hmat = _stored_csr(split.total() if h is None else h)
+        hmat = _stored_csr(split.total())
         owner = np.full(split.dim, -1) if owner is None else np.asarray(owner)
         self.core = np.nonzero(owner >= 0)[0]
         self.core_rows = owner[self.core]

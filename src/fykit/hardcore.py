@@ -55,7 +55,7 @@ from .blockops import (
     Operator,
     _Resolvent,
     _dense,
-    shift_invert_retry,
+    shift_invert_eigenpair,
 )
 from .combinatorics import Chain, Pair
 from .errors import InvalidInputError
@@ -338,9 +338,9 @@ def solve_hardcore3(
     def shifted_factor(z):
         if np.min(np.abs(sigma_h0 - z)) <= H0_SPECTRUM_GUARD * (1.0 + abs(z)):
             return _Resolvent(a, z, b, refine=False)
-        return _FaddeevShiftedFactor(split, z, owner=owner, h=h)
+        return _FaddeevShiftedFactor(split, z, owner=owner)
 
-    result = shift_invert_retry(
+    result = shift_invert_eigenpair(
         a, target, b=b, tol=tol, max_iter=max_iter, seed=seed, shifted_factor=shifted_factor
     )
 

@@ -48,8 +48,7 @@ from .blockops import (
     EigenResult,
     Operator,
     _Resolvent,
-    shift_invert_eigenpair,  # noqa: F401  (perfbench's hook test rebinds it here)
-    shift_invert_retry,
+    shift_invert_eigenpair,
 )
 from .combinatorics import (
     Chain,
@@ -336,15 +335,15 @@ def solve_fourbody_ground_state(
     channels when it carries them (a lattice split, from
     :func:`fykit.lattice.build_split`) and by LU otherwise. The 18-block
     flatten (sparse for lattice models) serves only the products and the
-    post-hoc residual. ``seed`` fixes the start vector. A singular start
-    shift is nudged by :func:`shift_invert_retry`. The 18-block operator
-    carries auxiliary spectrum next to the unperturbed and channel spectra;
-    :meth:`FewBodySplit.auxiliary_distance` says whether the returned
-    eigenvalue lies there.
+    post-hoc residual. ``seed`` fixes the start vector. A singular shift is
+    stepped off by :func:`~fykit.blockops.shift_invert_eigenpair`. The
+    18-block operator carries auxiliary spectrum next to the unperturbed and
+    channel spectra; :meth:`FewBodySplit.auxiliary_distance` says whether the
+    returned eigenvalue lies there.
     """
     flat = assemble_yakubovsky_operator(sys).flatten()
     factor = functools.partial(_PairSumFactor, sys)
-    return shift_invert_retry(
+    return shift_invert_eigenpair(
         flat, target, tol=tol, max_iter=max_iter, seed=seed, shifted_factor=factor
     )
 

@@ -20,9 +20,7 @@ from fykit.blockops import (
     dump_matrix_text,
     linear_solve,
     match_into,
-    match_spectra,
     shift_invert_eigenpair,
-    shift_invert_retry,
 )
 from fykit.errors import (
     InvalidInputError,
@@ -530,9 +528,39 @@ def test_shift_invert_generalized_pencil():
 
 
 def test_shift_invert_singular_shift_raises():
-    a = np.diag([1.0, 2.0, 3.0])
-    with pytest.raises(ShiftSingularError):
-        shift_invert_eigenpair(Operator.sparse(a), 2.0)
+    # a factor singular at every shift is tried at t and at the two steps off
+    # it, t′ = t + 1e-8·(1 + |t|) and t″ = t′ + 1.01e-6·(1 + |t′|), and the
+    # last error leaves the driver
+    t, tried = 2.0, []
+
+    def singular(z):
+        tried.append(z)
+        raise ShiftSingularError(f"singular at {z!r}")
+
+    t1 = t + 1e-8 * (1.0 + abs(t))
+    t2 = t1 + (1e-8 + 1e-6) * (1.0 + abs(t1))
+    with pytest.raises(ShiftSingularError, match=f"singular at {t2!r}"):
+        shift_invert_eigenpair(np.diag([1.0, 2.0, 3.0]), t, shifted_factor=singular)
+    assert tried == [t, t1, t2]
+
+
+def test_shift_invert_keeps_its_factor_when_a_refactor_is_singular():
+    # t = 1.45 lies between the eigenvalues 1 and 2, so the residual contracts
+    # by only 0.45/0.55 a step and the driver refactors at the Rayleigh
+    # quotient; every shift but t is singular, so it keeps the factor at t
+    a, t, tried = np.diag(np.arange(1.0, 9.0)), 1.45, []
+
+    def singular_off_target(z):
+        tried.append(z)
+        if z != t:
+            raise ShiftSingularError(f"singular at {z!r}")
+        return _Resolvent(a, z, refine=False)
+
+    res = shift_invert_eigenpair(a, t, tol=1e-10, shifted_factor=singular_off_target)
+    assert len(tried) > 3 and tried[0] == t and t not in tried[1:]
+    assert res.shift_history == (t,) and res.factorizations == 1
+    assert res.residual_norm <= 1e-10
+    assert abs(res.value - 1.0) <= 1e-10
 
 
 @settings(max_examples=60, deadline=None)
@@ -553,11 +581,9 @@ def test_retry_driver_steps_off_an_exact_eigenvalue(d, seed, diagonal, t):
     a = np.zeros((d, d))
     a[np.ix_(rest, rest)] = 3.0 * block
     a[k, k] = t
-    with pytest.raises(ShiftSingularError):
-        shift_invert_eigenpair(a, t)
-    res = shift_invert_retry(a, t)
+    res = shift_invert_eigenpair(a, t)
     assert res.residual_norm <= 1e-10
-    assert res.shift_history[0] != t
+    assert res.shift_history[0] == t + 1e-8 * (1.0 + abs(t))
     assert np.min(np.abs(np.linalg.eigvalsh(a) - res.value)) <= 1e-8
 
 
@@ -662,15 +688,6 @@ def test_shift_invert_failure_carries_diagnostics():
     diag = exc_info.value.diagnostics
     assert "best_residual" in diag
     assert diag["iterations"] >= 1
-
-
-def test_match_spectra_orders_and_pairs():
-    ref = [3.0, 1.0, 2.0]
-    comp = [2.0 + 1e-12, 1.0, 3.0 - 1e-12]
-    m = match_spectra(comp, ref)
-    assert m.max_distance <= 1e-11
-    with pytest.raises(InvalidInputError):
-        match_spectra([1.0], [1.0, 2.0])
 
 
 def test_match_into_respects_multiplicity():

@@ -13,7 +13,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fykit import blockops, cli, hardcore, lattice
+from fykit import blockops, cli, hardcore, lattice, yakubovsky
 from fykit.cli import _ALLOWED_KEYS, RunConfig, load_config
 from fykit.errors import ConfigError
 from fykit.faddeev import FewBodySplit
@@ -398,7 +398,7 @@ def _spy_on_factorizations(monkeypatch, solver_name):
 
 def test_solve3_factors_only_h_minus_z(monkeypatch, capsys, tmp_path):
     # the Lippmann–Schwinger check solves H0 − z by conjugate gradients
-    calls = _spy_on_factorizations(monkeypatch, "shift_invert_retry")
+    calls = _spy_on_factorizations(monkeypatch, "shift_invert_eigenpair")
     assert cli.main(["solve3", "--config", _preset_with_target(tmp_path, "tiny3", "auto")]) == 0
     capsys.readouterr()
     assert calls == [True]
@@ -455,24 +455,27 @@ def test_solve4_factors_only_inside_the_solve(monkeypatch, capsys, gaussian4_cfg
 def test_shift_invert_factorizations_build_no_certificate(monkeypatch, capsys):
     # the Gershgorin certificate is built for certified solves and estimates
     # only; inverse iteration's factorizations take the bare LU solve
-    inside, built = [], []
+    inside, built, solves = [], [], []
     real_solve, real_certificate = blockops.shift_invert_eigenpair, blockops._gershgorin_positive
 
     def solve(*args, **kwargs):
         inside.append(True)
+        solves.append(True)
         try:
             return real_solve(*args, **kwargs)
         finally:
             inside.pop()
 
-    monkeypatch.setattr(blockops, "shift_invert_eigenpair", solve)
+    for module in (cli, yakubovsky, hardcore):  # each caller's own binding
+        monkeypatch.setattr(module, "shift_invert_eigenpair", solve)
     monkeypatch.setattr(blockops, "_gershgorin_positive",
                         lambda m: built.append(bool(inside)) or real_certificate(m))
     for argv, checks in ((["solve3", "--config", "tiny3"], True),
                          (["solve4", "--config", "tiny4"], True),
                          (["hardcore3", "--config", "tiny3", "--sweep", "none,0,1"], False)):
-        del built[:]
+        del built[:], solves[:]
         assert cli.main(argv) == 0
+        assert solves, argv[0]
         assert True not in built, argv[0]
         # the post-hoc checks of solve3 and solve4 do build one, outside the solve
         assert (False in built) == checks, argv[0]

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fykit import blockops
-from fykit.blockops import Operator, dense_eigenvalues, linear_solve, shift_invert_retry
+from fykit.blockops import Operator, dense_eigenvalues, linear_solve, shift_invert_eigenpair
 from fykit.errors import (
     ChannelEnergyError,
     InvalidInputError,
@@ -137,7 +137,7 @@ def test_random_splits_never_reach_the_lapack_lu(monkeypatch):
     mapped = faddeev_integral_map(split, z, comps.components)
     assert np.allclose(np.sum(mapped.components, axis=0), psi, atol=1e-9)
     assert lippmann_schwinger_residual(split, z, psi) <= 1e-10
-    res = shift_invert_retry(assemble_faddeev_operator(split).flatten(), z - 1e-3)
+    res = shift_invert_eigenpair(assemble_faddeev_operator(split).flatten(), z - 1e-3)
     assert res.residual_norm <= 1e-10
 
 
