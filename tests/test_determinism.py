@@ -1,7 +1,9 @@
 """Golden CLI bytes, and determinism of the hard-core sweep on every path.
 
 ``tests/golden`` holds the stdout of the acceptance criterion-8 command
-battery with the ``# config:`` line cut down to the file name, the stdout of
+battery in both formats, with the ``# config:`` line cut down to the file
+name (``<name>.out`` in the format criterion 8 runs, ``<name>.<format>.out``
+in the other), the stdout of
 a hard-core sweep whose explicit target lands on an auxiliary pencil root
 (the warning path), the stdout of ``solve3`` and ``solve4`` at targets next
 to σ(H0) (their warning paths, in table and machine format), the stdout of
@@ -48,16 +50,22 @@ NEAR_FREE3 = (
     "potential.params = -1e-6\n"
 )
 
+# (golden name, arguments, the format criterion 8 runs the command in)
 BATTERY = [
-    ("chains", ("chains", "--n", "4")),
-    ("yak-pattern", ("yak-pattern",)),
-    ("spectrum-check", ("spectrum-check", "--n", "3", "--dim", "4", "--seeds", "5")),
-    ("oracle", ("oracle", "--config", "tiny3", "--k", "4")),
-    ("solve3", ("solve3", "--config", "tiny3")),
-    ("solve4", ("solve4", "--config", "gauss4.cfg")),
-    ("hardcore3", ("hardcore3", "--config", "tiny3", "--sweep", "none,0,1")),
-    ("hardcore4-check", ("hardcore4-check", "--config", "tiny4", "--format", "machine")),
+    ("chains", ("chains", "--n", "4"), "table"),
+    ("yak-pattern", ("yak-pattern",), "table"),
+    ("spectrum-check", ("spectrum-check", "--n", "3", "--dim", "4", "--seeds", "5"), "table"),
+    ("oracle", ("oracle", "--config", "tiny3", "--k", "4"), "table"),
+    ("solve3", ("solve3", "--config", "tiny3"), "table"),
+    ("solve4", ("solve4", "--config", "gauss4.cfg"), "table"),
+    ("hardcore3", ("hardcore3", "--config", "tiny3", "--sweep", "none,0,1"), "table"),
+    ("hardcore4-check", ("hardcore4-check", "--config", "tiny4"), "machine"),
 ]
+
+# every battery command in both formats, as (golden stem, arguments, format):
+# the stem is the name in the format criterion 8 runs and "<name>.<format>" in the other
+BATTERY_RUNS = [(name if fmt == native else f"{name}.{fmt}", args, fmt)
+                for name, args, native in BATTERY for fmt in ("table", "machine")]
 
 
 def run(*args, env=None):
@@ -68,14 +76,14 @@ def normalized(stdout):
     return re.sub(r"^# config: .*/", "# config: ", stdout, flags=re.M)
 
 
-@pytest.mark.parametrize("name,args", BATTERY, ids=[name for name, _ in BATTERY])
-def test_battery_reproduces_golden_stdout(name, args, tmp_path):
+@pytest.mark.parametrize("stem,args,fmt", BATTERY_RUNS, ids=[stem for stem, _, _ in BATTERY_RUNS])
+def test_battery_reproduces_golden_stdout(stem, args, fmt, tmp_path):
     cfg = tmp_path / "gauss4.cfg"
     cfg.write_text(GAUSS4)
-    proc = run(*(str(cfg) if a == "gauss4.cfg" else a for a in args))
+    proc = run(*(str(cfg) if a == "gauss4.cfg" else a for a in args), "--format", fmt)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
-    assert normalized(proc.stdout) == (GOLDEN / f"{name}.out").read_text()
+    assert normalized(proc.stdout) == (GOLDEN / f"{stem}.out").read_text()
 
 
 def test_cli_ignores_the_environment():
