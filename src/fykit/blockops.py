@@ -22,10 +22,9 @@ default COLAMD, which every other matrix keeps. Every dense copy, for the
 dense eigensolvers, the oracles or a matrix dump, is made by one gate,
 ``_dense``, which refuses a dimension above :data:`DENSE_LIMIT` (4096) before
 it allocates anything; beyond the cap only the shift-invert path is
-available. A grid flattens diagonal when it holds diagonal blocks on its
-block diagonal alone, and sparse otherwise, from one set of COO triplets per
-distinct block object (a coupled grid repeats a few operators in many
-slots). The lattice solvers factor only
+available. A grid flattens sparse, from one set of COO triplets per distinct
+block object (a coupled grid repeats a few operators in many slots). The
+lattice solvers factor only
 H − z (d-dimensional), solve H0 − z and the channels H0 + Vα − z through their
 Kronecker diagonalizations (:class:`fykit.lattice.KroneckerChannel`) and use
 the flattens for products; the hard-core pencil A − zB itself is factored only
@@ -275,12 +274,11 @@ class BlockOperator:
         return self.block_count * self.block_dim
 
     def flatten(self) -> Operator:
-        """The (m·d)-dimensional operator with this block layout, of the cheapest exact kind.
+        """The (m·d)-dimensional sparse operator with this block layout.
 
-        Diagonal blocks on the block diagonal alone give a diagonal operator.
-        Every other grid is sparse, at any size: the blocks' COO triplets at
-        their block offsets, in an explicit (m·d)-square shape, so empty
-        block rows and columns keep their place. Each distinct block object
+        The blocks' COO triplets at their block offsets, in an explicit
+        (m·d)-square shape, so empty block rows and columns keep their place
+        and an all-absent grid is the empty matrix. Each distinct block object
         gives its triplets once; a diagonal block's are its nonzero entries,
         the ones ``to_sparse`` keeps.
         """
@@ -288,11 +286,8 @@ class BlockOperator:
         present = [(i, j, e) for i, row in enumerate(self.entries)
                    for j, e in enumerate(row) if e is not None]
         dtype = np.result_type(np.float64, *(e._data.dtype for _, _, e in present))
-        if all(i == j and e.kind == "diagonal" for i, j, e in present):
-            diag = np.zeros(n, dtype=dtype)
-            for i, _, e in present:
-                diag[i * d:(i + 1) * d] = e._data
-            return Operator.diagonal(diag)
+        if not present:
+            return Operator.sparse(sp.csr_matrix((n, n), dtype=dtype))
         triplets: dict = {}  # id(block) -> (rows, cols, values); the grid keeps every block alive
         for _, _, e in present:
             if id(e) not in triplets:
@@ -310,14 +305,6 @@ class BlockOperator:
         rows += np.repeat([i * d for i, _, _ in present], sizes)
         cols += np.repeat([j * d for _, j, _ in present], sizes)
         return Operator.sparse(sp.csr_matrix((vals, (rows, cols)), shape=(n, n), dtype=dtype))
-
-    def block_rows(self, x: np.ndarray) -> list[np.ndarray]:
-        """Split a flat vector of length m·d into its m block pieces."""
-        x = np.asarray(x)
-        if x.shape[0] != self.dim:
-            raise InvalidInputError(f"vector length {x.shape[0]} != {self.dim}")
-        d = self.block_dim
-        return [x[i * d:(i + 1) * d] for i in range(self.block_count)]
 
     def __repr__(self):
         return f"BlockOperator(m={self.block_count}, d={self.block_dim})"
@@ -337,8 +324,12 @@ class EigenResult:
     residual_norm: float
     iterations: int
     method: str
-    factorizations: int = 0
     shift_history: tuple = ()
+
+    @property
+    def factorizations(self) -> int:
+        """The number of shifts factored, one per entry of ``shift_history``."""
+        return len(self.shift_history)
 
 
 # ----------------------------------------------------------------------
@@ -812,7 +803,6 @@ def shift_invert_eigenpair(
         residual_norm=final_res,
         iterations=iterations,
         method="shift-invert-rq",
-        factorizations=len(shifts),
         shift_history=tuple(shifts),
     )
 

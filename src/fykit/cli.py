@@ -50,9 +50,9 @@ from .faddeev import (
     spectrum_union_check,
 )
 from .hardcore import (
+    Hardcore4Evaluator,
     _ground_state,
     assemble_hardcore3_pencil,
-    assemble_hardcore4_constraints,
     restricted_oracle,
     restricted_space,
     solve_hardcore3,
@@ -401,17 +401,13 @@ def cmd_spectrum_check(args, out: _Out, cfg: RunConfig) -> int:
 
 def cmd_oracle(args, out: _Out, cfg: RunConfig) -> int:
     model = _require_model(cfg)
+    kept = restricted_space(model)
     if model.has_core:
-        kept = restricted_space(model)
-        k = min(args.k, kept.shape[0])
         out.comment(
             f"hard core c={model.core_radius}: restricted dimension {kept.shape[0]} "
             f"of {model.dimension}"
         )
-        results = restricted_oracle(model, k)
-    else:
-        k = min(args.k, model.dimension)
-        results = dense_oracle_spectrum(model, k)
+    results = restricted_oracle(model, min(args.k, kept.shape[0]))
     out.record("columns", "idx  eigenvalue            residual",
                columns=["idx", "eigenvalue", "residual"])
     for i, r in enumerate(results):
@@ -437,18 +433,24 @@ def _record_solution(out: _Out, z: float, res) -> None:
     )
 
 
+def _target(out: _Out, cfg: RunConfig, model: LatticeModel, split: FewBodySplit) -> float:
+    """The configured target, or else the Lanczos ground state of the split's H,
+    announced in a comment line."""
+    if cfg.target is not None:
+        return cfg.target
+    target = _ground_state(model, split.total().to_sparse()).value
+    out.comment(f"auto target from lanczos oracle: {_g(target)}")
+    return target
+
+
 def cmd_solve3(args, out: _Out, cfg: RunConfig) -> int:
     model = _require_model(cfg, n=3, forbid_core=True)
     split = build_split(model)
     flat = assemble_faddeev_operator(split).flatten()
     if args.dump_matrix:
         dump_matrix_text(args.dump_matrix, flat)
-    if cfg.target is None:
-        target = _ground_state(model, split.total().to_sparse()).value
-        out.comment(f"auto target from lanczos oracle: {_g(target)}")
-    else:
-        target = cfg.target
-    res = shift_invert_eigenpair(flat, target, tol=cfg.tol, max_iter=cfg.max_iter, seed=args.seed,
+    res = shift_invert_eigenpair(flat, _target(out, cfg, model, split), tol=cfg.tol,
+                                 max_iter=cfg.max_iter, seed=args.seed,
                                  shifted_factor=lambda z: _FaddeevShiftedFactor(split, z))
     z = float(np.real(res.value))
     nearest = split.auxiliary_distance(z)
@@ -490,13 +492,8 @@ def cmd_solve4(args, out: _Out, cfg: RunConfig) -> int:
     sysy = YakubovskySystem(split=split)
     if args.dump_matrix:
         dump_matrix_text(args.dump_matrix, assemble_yakubovsky_operator(sysy).flatten())
-    if cfg.target is None:
-        target = _ground_state(model, split.total().to_sparse()).value
-        out.comment(f"auto target from lanczos oracle: {_g(target)}")
-    else:
-        target = cfg.target
-    res = solve_fourbody_ground_state(sysy, target, tol=cfg.tol, max_iter=cfg.max_iter,
-                                      seed=args.seed)
+    res = solve_fourbody_ground_state(sysy, _target(out, cfg, model, split), tol=cfg.tol,
+                                      max_iter=cfg.max_iter, seed=args.seed)
     nearest = split.auxiliary_distance(res.value, range(split.n))
     if nearest is not None:
         out.comment(
@@ -623,7 +620,7 @@ def cmd_hardcore4_check(args, out: _Out, cfg: RunConfig) -> int:
     h0, pairs, pots = hamiltonian_terms(model)
     split = FewBodySplit(h0=h0, potentials=tuple(pots))
     sysy = YakubovskySystem(split=split)
-    evaluator = assemble_hardcore4_constraints(sysy, model)
+    evaluator = Hardcore4Evaluator(sysy, model)
     if model.has_core:
         seed_pair = restricted_oracle(model, 1)[0]
         out.comment(
@@ -673,6 +670,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--quiet", action="store_true", help="suppress header comments")
     common.add_argument("--seed", type=int, default=12345,
                         help="seed for iterative-solver start vectors")
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", required=True)
 
     p = argparse.ArgumentParser(prog="fy", description=__doc__)
     p.add_argument("--version", action="version", version=f"fykit {__version__}")
@@ -695,25 +694,23 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--hermitian", action="store_true", help="draw symmetric operators")
     sp.add_argument("--tol", type=float, default=1e-8, help="max matching distance allowed")
 
-    sp = sub.add_parser("oracle", parents=[common], help="dense (or restricted) brute-force spectrum")
+    sp = sub.add_parser("oracle", parents=[common, config],
+                        help="dense (or restricted) brute-force spectrum")
     sp.set_defaults(run=cmd_oracle)
-    sp.add_argument("--config", required=True)
     sp.add_argument("--k", type=int, default=8, help="number of lowest eigenpairs")
 
-    sp = sub.add_parser("solve3", parents=[common], help="three-body coupled-component solve")
+    sp = sub.add_parser("solve3", parents=[common, config], help="three-body coupled-component solve")
     sp.set_defaults(run=cmd_solve3)
-    sp.add_argument("--config", required=True)
     sp.add_argument("--dump-matrix", default=None, metavar="PATH",
                     help="write the assembled flatten as text")
 
-    sp = sub.add_parser("solve4", parents=[common], help="four-body coupled-component solve")
+    sp = sub.add_parser("solve4", parents=[common, config], help="four-body coupled-component solve")
     sp.set_defaults(run=cmd_solve4)
-    sp.add_argument("--config", required=True)
     sp.add_argument("--dump-matrix", default=None, metavar="PATH")
 
-    sp = sub.add_parser("hardcore3", parents=[common], help="hard-core pencil vs restricted oracle")
+    sp = sub.add_parser("hardcore3", parents=[common, config],
+                        help="hard-core pencil vs restricted oracle")
     sp.set_defaults(run=cmd_hardcore3)
-    sp.add_argument("--config", required=True)
     sp.add_argument("--core", default=None, metavar="C",
                     help="core radius override (integer or 'none')")
     sp.add_argument("--sweep", default=None, metavar="C1,C2,...",
@@ -724,10 +721,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="explicit shift target (default: restricted-oracle ground state)")
     sp.add_argument("--dump-matrix", default=None, metavar="PATH")
 
-    sp = sub.add_parser("hardcore4-check", parents=[common],
+    sp = sub.add_parser("hardcore4-check", parents=[common, config],
                         help="evaluate the four-body chain boundary conditions")
     sp.set_defaults(run=cmd_hardcore4_check)
-    sp.add_argument("--config", required=True)
     sp.add_argument("--core", default=None, metavar="C",
                     help="core radius override (integer or 'none')")
     return p

@@ -171,12 +171,6 @@ class FewBodySplit:
             self.__dict__["_total"] = sum(self.potentials, self.h0)
         return self.__dict__["_total"]
 
-    def potential_sum_apply(self, x: np.ndarray) -> np.ndarray:
-        out = self.potentials[0].apply(x)
-        for v in self.potentials[1:]:
-            out = out + v.apply(x)
-        return out
-
     @functools.cached_property
     def _diagonal_potentials(self) -> Optional[np.ndarray]:
         """The n×d stack of the potentials' diagonals, None unless all are diagonal."""
@@ -234,7 +228,7 @@ def lippmann_schwinger_residual(split: FewBodySplit, z, psi: np.ndarray) -> floa
     pnorm = np.linalg.norm(psi)
     if pnorm == 0.0:
         raise InvalidInputError("residual undefined for the zero vector")
-    rhs = split.potential_sum_apply(psi)
+    rhs = split.potential_rows_apply(psi[None]).sum(axis=0)  # ΣVα Ψ, added in part order
     try:
         x = linear_solve(split.h0, z, rhs)
     except SingularMatrixError as exc:

@@ -335,11 +335,9 @@ def hamiltonian_terms(model: LatticeModel) -> tuple[Operator, list[Pair], list[O
 
 
 def build_hamiltonian(model: LatticeModel) -> Operator:
+    """H = H0 + Σα Vα, added in canonical pair order, as ``FewBodySplit.total`` does."""
     h0, _, pots = hamiltonian_terms(model)
-    h = h0
-    for v in pots:
-        h = h + v
-    return h
+    return sum(pots, h0)
 
 
 # The factors' symmetry-degenerate spectra make LAPACK's default MRRR driver

@@ -154,6 +154,8 @@ def _random_block(rng, kind, d):
 # a lone block whose block row and column are otherwise empty
 @example(m=3, d=1, seed=0, kinds=[None] * 8 + ["sparse"], block_diagonal=False)
 @example(m=2, d=2, seed=0, kinds=[None, "sparse"] + [None] * 7, block_diagonal=False)
+# an all-absent grid: the empty matrix of the grid's shape
+@example(m=1, d=1, seed=0, kinds=[None] * 9, block_diagonal=False)
 def test_flatten_is_bytewise_the_block_of_materialized_blocks(m, d, seed, kinds, block_diagonal):
     rng = np.random.default_rng(seed)
     grid = [[None] * m for _ in range(m)]
@@ -166,9 +168,7 @@ def test_flatten_is_bytewise_the_block_of_materialized_blocks(m, d, seed, kinds,
     want = np.block([[np.zeros((d, d)) if e is None else e.materialize() for e in row]
                      for row in grid])
     flat = block.flatten()
-    only_diagonal = all(e is None or (i == j and e.kind == "diagonal")
-                        for i, row in enumerate(grid) for j, e in enumerate(row))
-    assert flat.kind == ("diagonal" if only_diagonal else "sparse")
+    assert flat.kind == "sparse"
     got = flat.materialize()
     assert got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
@@ -201,8 +201,7 @@ def test_sparse_flatten_keeps_the_csr_layout_of_per_block_triplets(m, d, seed, p
     grid = [[None if slots[i * 3 + j] is None else pool[slots[i * 3 + j] % len(pool)]
              for j in range(m)] for i in range(m)]
     present = [(i, j, e) for i, row in enumerate(grid) for j, e in enumerate(row) if e is not None]
-    assume(m * d > 1 and present
-           and not all(i == j and e.kind == "diagonal" for i, j, e in present))
+    assume(m * d > 1 and present)
     flat = BlockOperator(grid, block_dim=d).flatten()
     assert flat.kind == "sparse"
     # the layout as built block by block: each block's own to_sparse().tocoo() triplets
@@ -218,14 +217,6 @@ def test_sparse_flatten_keeps_the_csr_layout_of_per_block_triplets(m, d, seed, p
     for name in ("indptr", "indices", "data"):
         assert getattr(got, name).dtype == getattr(want, name).dtype
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-
-
-def test_block_rows_splits_flat_vectors():
-    block = BlockOperator([[Operator.identity(2), None], [None, Operator.identity(2)]])
-    parts = block.block_rows(np.arange(4.0))
-    assert len(parts) == 2
-    assert np.allclose(parts[0], [0.0, 1.0])
-    assert np.allclose(parts[1], [2.0, 3.0])
 
 
 def test_block_operator_rejects_ragged_grids():

@@ -23,7 +23,6 @@ from fykit.faddeev import (
 from fykit.hardcore import (
     Hardcore4Evaluator,
     assemble_hardcore3_pencil,
-    assemble_hardcore4_constraints,
     core_region,
     restricted_oracle,
     restricted_space,
@@ -115,17 +114,20 @@ def test_pencil_without_core_degenerates(tiny3):
     assert np.allclose(pencil.a.flatten().materialize(), want)
     b = pencil.b.flatten().materialize()
     assert np.allclose(b, np.eye(b.shape[0]))
-    assert pencil.constraint_rows == {}
+    assert np.all(pencil.owner == -1)
 
 
-def test_pencil_constraint_rows_and_mass_zeros(tiny3):
+def test_pencil_owner_rows_and_mass_zeros(tiny3):
     model = with_core(tiny3, 0)
     pencil = assemble_hardcore3_pencil(model)
     d = model.dimension
     a = pencil.a.flatten().materialize()
     b = np.diag(pencil.b.flatten().materialize())
-    assert len(pencil.constraint_rows) > 0
-    for (members, site), row in pencil.constraint_rows.items():
+    # one constraint per core site, on row i·d + s of its owning pair i
+    owned_sites = np.flatnonzero(pencil.owner >= 0)
+    assert np.array_equal(owned_sites, np.setdiff1d(np.arange(d), restricted_space(model)))
+    replaced = pencil.owner[owned_sites] * d + owned_sites
+    for site, row in zip(owned_sites, replaced):
         # the surgered row encodes Σβ ψβ(site) = 0 with unit weights
         want = np.zeros(3 * d)
         for block in range(3):
@@ -133,11 +135,9 @@ def test_pencil_constraint_rows_and_mass_zeros(tiny3):
         assert np.array_equal(a[row], want)
         assert b[row] == 0.0
     # unreplaced rows keep unit mass
-    replaced = {row for row in pencil.constraint_rows.values()}
-    free = np.setdiff1d(np.arange(3 * d), sorted(replaced))
-    owned_sites = {row % d for row in replaced}
+    free = np.setdiff1d(np.arange(3 * d), replaced)
     for row in free:
-        if row % d in owned_sites:
+        if pencil.owner[row % d] >= 0:
             continue  # duplicate-core rows of non-owner components also carry zero mass
         assert b[row] in (0.0, 1.0)
 
@@ -281,7 +281,7 @@ def test_pencil_spectrum_is_sigma_h_rr_union_sigma_h0(boundary, L, core, pot, su
     finite = np.abs(beta) > 1e-8 * np.abs(alpha)
     values = alpha[finite] / beta[finite]
     # one infinite root per constraint row; the finite ones are the union, as a set
-    assert finite.sum() == a.shape[0] - len(pencil.constraint_rows)
+    assert finite.sum() == a.shape[0] - np.count_nonzero(pencil.owner >= 0)
     assert max(np.min(np.abs(union - v)) for v in values) <= tol
     assert max(np.min(np.abs(values - u)) for u in union) <= tol
 
@@ -313,7 +313,7 @@ def test_surface_only_variant_still_physical(tiny3):
 def test_hardcore4_trivial_cases_are_exactly_zero(tiny4, tiny4_split):
     split, pairs = tiny4_split
     sys = YakubovskySystem(split=split)
-    evaluator = assemble_hardcore4_constraints(sys, tiny4)
+    evaluator = Hardcore4Evaluator(sys, tiny4)
     assert evaluator.site_count == 0
     zeros = tuple(np.zeros(tiny4.dimension) for _ in range(18))
     rep = evaluator.evaluate(YakubovskyComponents(z=0.0, components=zeros))
@@ -332,7 +332,7 @@ def test_hardcore4_defect_is_finite_and_deterministic():
     gs = restricted_oracle(model, 1)[0]
     fc = faddeev_components(split, gs.value, gs.vector, eigenpair_tol=np.inf)
     yc = yakubovsky_components(sys, gs.value, fc)
-    evaluator = assemble_hardcore4_constraints(sys, model)
+    evaluator = Hardcore4Evaluator(sys, model)
     rep1 = evaluator.evaluate(yc)
     rep2 = evaluator.evaluate(yc)
     assert evaluator.site_count == 18 * 64
