@@ -704,7 +704,8 @@ def shift_invert_eigenpair(
 
     Every factorization, at ``target`` and at each Rayleigh quotient, steps
     off a singular shift (:func:`_factor_stepping_off`); a refactorization
-    that cannot keeps the factor in hand. Raises :class:`ShiftSingularError`
+    that cannot ends refactoring, and the iteration goes on with the factor
+    in hand. Raises :class:`ShiftSingularError`
     when the start shift cannot be stepped off or a solve is non-finite, and
     :class:`SolverFailureError` with diagnostics when the iteration budget
     is exhausted.
@@ -733,6 +734,7 @@ def shift_invert_eigenpair(
     best_res = np.inf  # for the failure diagnostics only
     prev_res = np.inf
     stall = 0
+    budget = _MAX_FACTORIZATIONS  # cut to the shifts in hand when a refactor fails
 
     for iterations in range(1, max_iter + 1):
         rhs = v if bmat is None else bmat @ v
@@ -759,12 +761,13 @@ def shift_invert_eigenpair(
             break
         stall = stall + 1 if res > 0.7 * prev_res else 0
         prev_res = res
-        if stall >= 2 and len(shifts) < _MAX_FACTORIZATIONS:
+        if stall >= 2 and len(shifts) < budget:
             try:  # refactor at the Rayleigh quotient
                 factor, z = _factor_stepping_off(
                     shifted_factor, rq if complex_problem else float(np.real(rq)))
             except ShiftSingularError:
-                continue  # keep the factor in hand
+                budget = len(shifts)  # keep the factor in hand for the rest of the run
+                continue
             shifts.append(z)
             stall = 0
             prev_res = np.inf

@@ -538,7 +538,8 @@ def test_shift_invert_singular_shift_raises():
 def test_shift_invert_keeps_its_factor_when_a_refactor_is_singular():
     # t = 1.45 lies between the eigenvalues 1 and 2, so the residual contracts
     # by only 0.45/0.55 a step and the driver refactors at the Rayleigh
-    # quotient; every shift but t is singular, so it keeps the factor at t
+    # quotient; every shift but t is singular, so that one ladder fails and
+    # the driver keeps the factor at t without refactoring again
     a, t, tried = np.diag(np.arange(1.0, 9.0)), 1.45, []
 
     def singular_off_target(z):
@@ -548,8 +549,10 @@ def test_shift_invert_keeps_its_factor_when_a_refactor_is_singular():
         return _Resolvent(a, z, refine=False)
 
     res = shift_invert_eigenpair(a, t, tol=1e-10, shifted_factor=singular_off_target)
-    assert len(tried) > 3 and tried[0] == t and t not in tried[1:]
+    # t, then the Rayleigh quotient and its two steps
+    assert len(tried) == 4 and tried[0] == t and t not in tried[1:]
     assert res.shift_history == (t,) and res.factorizations == 1
+    assert res.iterations == 115
     assert res.residual_norm <= 1e-10
     assert abs(res.value - 1.0) <= 1e-10
 
