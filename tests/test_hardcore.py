@@ -125,6 +125,7 @@ def test_pencil_owner_rows_and_mass_zeros(tiny3):
     b = np.diag(pencil.b.flatten().materialize())
     # one constraint per core site, on row i·d + s of its owning pair i
     owned_sites = np.flatnonzero(pencil.owner >= 0)
+    assert owned_sites.size > 0
     assert np.array_equal(owned_sites, np.setdiff1d(np.arange(d), restricted_space(model)))
     replaced = pencil.owner[owned_sites] * d + owned_sites
     for site, row in zip(owned_sites, replaced):
