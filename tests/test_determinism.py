@@ -4,6 +4,8 @@
 battery in both formats, with the ``# config:`` line cut down to the file
 name (``<name>.out`` in the format criterion 8 runs, ``<name>.<format>.out``
 in the other), the stdout of
+``oracle`` on a core model, of ``hardcore3 --dump-matrix`` and of
+``hardcore4-check --core 0`` (in table and machine format), the stdout of
 a hard-core sweep whose explicit target lands on an auxiliary pencil root
 (the warning path), the stdout of ``solve3`` and ``solve4`` at targets next
 to σ(H0) (their warning paths, in table and machine format), the stdout of
@@ -19,9 +21,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fykit import cli
+from fykit.hardcore import assemble_hardcore3_pencil
+from fykit.lattice import LatticeModel, PairPotential
 
 GOLDEN = Path(__file__).parent / "golden"
 CLI = [sys.executable, "-m", "fykit.cli"]
@@ -48,6 +53,12 @@ SOLVE_WARNINGS = [("solve4-warning", "solve4", TINY4_NEAR_H0),
 NEAR_FREE3 = (
     "[model]\nN = 3\nL = 4\nboundary = box\nt = 1.0\npotential.kind = onsite\n"
     "potential.params = -1e-6\n"
+)
+
+# tiny3 with a core of radius 1, for the oracle's restricted-space path
+CORE3 = (
+    "[model]\nN = 3\nL = 6\nboundary = box\nt = 1.0\npotential.kind = gaussian\n"
+    "potential.params = -4.0, 1.0\ncore_radius = 1\n"
 )
 
 # (golden name, arguments, the format criterion 8 runs the command in)
@@ -84,6 +95,43 @@ def test_battery_reproduces_golden_stdout(stem, args, fmt, tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert normalized(proc.stdout) == (GOLDEN / f"{stem}.out").read_text()
+
+
+@pytest.mark.parametrize("fmt", ["table", "machine"])
+def test_oracle_on_a_core_model_reproduces_golden_stdout(fmt, tmp_path):
+    cfg = tmp_path / "core3.cfg"
+    cfg.write_text(CORE3)
+    proc = run("oracle", "--config", str(cfg), "--k", "4", "--format", fmt)
+    assert proc.returncode == 0 and proc.stderr == ""
+    golden = GOLDEN / ("oracle-core.out" if fmt == "table" else "oracle-core.machine.out")
+    assert normalized(proc.stdout) == golden.read_text()
+    assert "\n# hard core c=1: restricted dimension 24 of 216\n" in proc.stdout
+
+
+@pytest.mark.parametrize("fmt", ["table", "machine"])
+def test_hardcore3_dumps_the_pencil_a_matrix(fmt, tmp_path):
+    dump = tmp_path / "pencil-a.txt"
+    proc = run("hardcore3", "--config", "tiny3", "--core", "1", "--dump-matrix", str(dump),
+               "--format", fmt)
+    assert proc.returncode == 0 and proc.stderr == ""
+    golden = GOLDEN / ("hardcore3-dump.out" if fmt == "table" else "hardcore3-dump.machine.out")
+    assert normalized(proc.stdout) == golden.read_text()
+    model = LatticeModel(N=3, L=6, potential=PairPotential("gaussian", (-4.0, 1.0)),
+                         core_radius=1)
+    want = assemble_hardcore3_pencil(model).a.flatten().materialize()
+    header, *rows = dump.read_text().splitlines()
+    assert header == f"# {want.shape[0]} {want.shape[1]}"
+    got = np.array([[float(x) for x in row.split(" ")] for row in rows])
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("fmt", ["table", "machine"])
+def test_hardcore4_check_with_a_core_override_reproduces_golden_stdout(fmt):
+    proc = run("hardcore4-check", "--config", "tiny4", "--core", "0", "--format", fmt)
+    assert proc.returncode == 0 and proc.stderr == ""
+    golden = GOLDEN / ("hardcore4-check-core0.out" if fmt == "table"
+                       else "hardcore4-check-core0.machine.out")
+    assert normalized(proc.stdout) == golden.read_text()
 
 
 def test_cli_ignores_the_environment():
