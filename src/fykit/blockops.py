@@ -65,7 +65,6 @@ __all__ = [
     "Operator",
     "BlockOperator",
     "EigenResult",
-    "SpectrumMatch",
     "DENSE_LIMIT",
     "dense_eigenvalues",
     "linear_solve",
@@ -478,7 +477,7 @@ class _Resolvent:
     true residual exceeds ``_REFINE_TARGET`` relative to its right-hand side
     goes to the LU path, which refines each column on its own and raises
     :class:`SingularMatrixError` when it cannot reach the target. The
-    certificate is built on the first ``solve`` or ``cond_estimate``.
+    certificate is built on the first ``solve``.
 
     With ``refine=False`` (shift-invert) the matrix is factored at once and
     ``solve`` is the bare LU solve: no certificate, no refinement, and a
@@ -515,23 +514,6 @@ class _Resolvent:
             return self.lu.solve(b.real) + 1j * self.lu.solve(b.imag)
         return self.lu.solve(b)
 
-    def cond_estimate(self) -> float:
-        """1-norm condition estimate of A − z·B, inf when singular: ``onenormest``
-        of the inverse (t=1 draws no random probes) times ‖A − z·B‖₁. The
-        inverse is applied without refinement: by conjugate gradients where a
-        column certifies, and by the bare LU solve everywhere else."""
-        try:
-            if self.positive is not None:
-                mat = self.positive
-                solve = rsolve = functools.partial(self._cg_solve, fallback=self._back_solve)
-            else:
-                mat, lu = self.m, self.lu
-                solve, rsolve = lu.solve, lambda x: lu.solve(x, trans="H")
-        except SingularMatrixError:
-            return np.inf
-        inverse = spla.LinearOperator(mat.shape, matvec=solve, rmatvec=rsolve, dtype=mat.dtype)
-        return float(spla.onenormest(inverse, t=1) * spla.norm(mat, 1))
-
     def solve(self, rhs) -> np.ndarray:
         if not self.refine:
             x = self._back_solve(rhs)
@@ -544,23 +526,23 @@ class _Resolvent:
             raise InvalidInputError(
                 f"rhs length {b.shape[0]} != matrix dim {self.shifted.shape[0]}")
         if self.positive is not None:
-            return self._cg_solve(b, fallback=self._lu_solve)
+            return self._cg_solve(b)
         cols = b.reshape(b.shape[0], -1)
         x = np.zeros_like(cols)
         for j in range(cols.shape[1]):
             x[:, j] = self._lu_solve(cols[:, j])
         return x.reshape(b.shape)
 
-    def _cg_solve(self, b: np.ndarray, fallback: Callable) -> np.ndarray:
+    def _cg_solve(self, b: np.ndarray) -> np.ndarray:
         """Conjugate gradients on the columns of b; a column whose true residual
         exceeds ``_REFINE_TARGET`` relative to its right-hand side is solved by
-        ``fallback`` instead."""
+        ``_lu_solve`` instead."""
         cols = b.reshape(b.shape[0], -1)
         x = _conjugate_gradients(self.positive, cols)
         res = np.linalg.norm(cols - self.positive @ x, axis=0)
         certified = res <= _REFINE_TARGET * np.linalg.norm(cols, axis=0)
         for j in np.flatnonzero(~certified):
-            x[:, j] = fallback(cols[:, j])
+            x[:, j] = self._lu_solve(cols[:, j])
         return x.reshape(b.shape)
 
     def _lu_solve(self, b: np.ndarray) -> np.ndarray:
@@ -814,55 +796,37 @@ def shift_invert_eigenpair(
 # spectrum comparison
 
 
-@dataclass(frozen=True)
-class SpectrumMatch:
-    """Greedy pairing of two eigenvalue multisets.
-
-    ``max_distance`` is the largest matched |a - b|; pairs are reported in
-    the order the first multiset was traversed (sorted by (real, imag)).
-    Greedy matching is not an optimal assignment, but at the tolerances used
-    here the spectra either match far below level spacing or fail loudly, so
-    the cheap matcher is adequate and deterministic.
-    """
-
-    pairs: tuple
-    distances: np.ndarray
-    max_distance: float
-
-
 def _sorted_complex(values) -> np.ndarray:
     arr = np.asarray(values, dtype=np.complex128).ravel()
     order = np.lexsort((arr.imag, arr.real))
     return arr[order]
 
 
-def _greedy_match(a: np.ndarray, pool: np.ndarray) -> tuple[list, np.ndarray]:
+def match_into(values, pool) -> float:
+    """The largest distance at which each value matches a distinct element of
+    a larger pool.
+
+    Used for containment checks (every eigenvalue of a restricted problem
+    must appear somewhere in a bigger pencil spectrum). The values, sorted by
+    (real, imag), each claim the nearest pool element not yet claimed, so
+    multiplicities are respected. Greedy matching is not an optimal
+    assignment, but at the tolerances used here the spectra either match far
+    below level spacing or fail loudly, so the cheap matcher is adequate and
+    deterministic. A NaN distance makes the result NaN.
+    """
+    a = _sorted_complex(values)
+    pool = _sorted_complex(pool)
+    if a.shape[0] > pool.shape[0]:
+        raise InvalidInputError(f"cannot match {a.shape[0]} values into a pool of {pool.shape[0]}")
     used = np.zeros(pool.shape[0], dtype=bool)
-    pairs = []
     dists = np.empty(a.shape[0])
     for i, val in enumerate(a):
         d = np.abs(pool - val)
         d[used] = np.inf
         j = int(np.argmin(d))
         used[j] = True
-        pairs.append((val, pool[j]))
         dists[i] = d[j]
-    return pairs, dists
-
-
-def match_into(values, pool) -> SpectrumMatch:
-    """Match each value to a distinct nearest element of a larger pool.
-
-    Used for containment checks (every eigenvalue of a restricted problem
-    must appear somewhere in a bigger pencil spectrum). Each pool element is
-    claimed at most once so multiplicities are respected.
-    """
-    a = _sorted_complex(values)
-    b = _sorted_complex(pool)
-    if a.shape[0] > b.shape[0]:
-        raise InvalidInputError(f"cannot match {a.shape[0]} values into a pool of {b.shape[0]}")
-    pairs, dists = _greedy_match(a, b)
-    return SpectrumMatch(pairs=tuple(pairs), distances=dists, max_distance=float(dists.max()))
+    return float(dists.max())
 
 
 def dump_matrix_text(path, a) -> None:

@@ -64,9 +64,6 @@ __all__ = [
 ]
 
 _NORM_FLOOR = 1e-300
-# Condition estimate above which a (H0 - z) solve is flagged: the formal
-# precondition "z not in the spectrum of H0" made quantitative.
-ILL_CONDITION_THRESHOLD = 1e10
 AUXILIARY_ROOT_WINDOW = 1e-6  # see FewBodySplit.auxiliary_distance
 
 
@@ -189,25 +186,10 @@ class FewBodySplit:
 
 @dataclass(frozen=True)
 class FaddeevComponents:
-    """The n component vectors of one eigenpair, plus solve diagnostics.
-
-    ``h0_cond_estimate``, the 1-norm condition estimate of (H0 − z), is taken
-    on its first read from the resolvent that built the components (0.0 when
-    none did); ``ill_conditioned`` is set when it exceeds the flagging
-    threshold, and downstream residuals should be read with that in mind.
-    """
+    """The n component vectors of one eigenpair."""
 
     z: complex
     components: tuple
-    _resolvent: Optional[_Resolvent] = field(default=None, compare=False, repr=False)
-
-    @functools.cached_property
-    def h0_cond_estimate(self) -> float:
-        return 0.0 if self._resolvent is None else self._resolvent.cond_estimate()
-
-    @property
-    def ill_conditioned(self) -> bool:
-        return bool(self.h0_cond_estimate > ILL_CONDITION_THRESHOLD)
 
     @property
     def n(self) -> int:
@@ -252,9 +234,9 @@ def faddeev_components(
     :class:`~fykit.blockops._Resolvent` of H0 − z takes the n solves as one
     block: by conjugate gradients when H0 − z is provably positive definite
     (z below every Gershgorin disc of H0, as for a bound state on a lattice),
-    otherwise from one LU. It is kept for the condition estimate of (H0 − z),
-    computed on its first read and flagged (not fatal) above 1e10, the
-    quantitative version of "z does not belong to the spectrum of H0".
+    otherwise from one LU. The components exist only for z outside σ(H0): a
+    solve that cannot certify its residual makes H0 − z singular to working
+    precision and raises :class:`SpuriousEnergyError`.
     """
     psi = np.asarray(psi)
     pnorm = np.linalg.norm(psi)
@@ -267,14 +249,14 @@ def faddeev_components(
             f"(z, psi) is not an eigenpair within {eigenpair_tol:.1e}",
             measured=eig_res,
         )
-    resolvent = _Resolvent(split.h0, z)
+    rhs = np.stack([v.apply(psi) for v in split.potentials], axis=1)
     try:
-        comps = resolvent.solve(np.stack([v.apply(psi) for v in split.potentials], axis=1))
+        comps = _Resolvent(split.h0, z).solve(rhs)
     except SingularMatrixError as exc:
         raise SpuriousEnergyError(
             f"z = {z} is numerically in the unperturbed spectrum"
         ) from exc
-    return FaddeevComponents(z=z, components=tuple(-c for c in comps.T), _resolvent=resolvent)
+    return FaddeevComponents(z=z, components=tuple(-c for c in comps.T))
 
 
 def assemble_coupled(split: FewBodySplit, row_parts: Sequence[int], mask) -> BlockOperator:
@@ -402,22 +384,10 @@ def faddeev_integral_map(split: FewBodySplit, z, comps: Sequence[np.ndarray]) ->
 
 @dataclass(frozen=True)
 class SpectrumUnionReport:
-    """Evidence for (or against) the spectrum identity on one split.
-
-    ``multiplicity_table`` lists, per distinct unperturbed eigenvalue, how
-    many flatten eigenvalues land within the counting window. The identity
-    proved for the block operator is set equality; the multiplicity pattern
-    (each unperturbed point appearing n−1 times) is an empirical observation
-    recorded here and never asserted.
-    """
+    """Evidence for (or against) the spectrum identity on one split."""
 
     max_matching_distance: float
-    tolerance: float
     passed: bool
-    flatten_size: int
-    h_size: int
-    h0_size: int
-    multiplicity_table: tuple
 
 
 def spectrum_union_check(split: FewBodySplit, tol: float = 1e-8) -> SpectrumUnionReport:
@@ -428,32 +398,10 @@ def spectrum_union_check(split: FewBodySplit, tol: float = 1e-8) -> SpectrumUnio
     distance is reported. Failure is returned as a report (passed=False)
     rather than raised, so sweeps can tabulate violations.
     """
-    hf = assemble_faddeev_operator(split).flatten()
-    sigma_f = dense_eigenvalues(hf)
-    sigma_h = dense_eigenvalues(split.total())
-    sigma_h0 = dense_eigenvalues(split.h0)
-    union = np.concatenate([sigma_h, sigma_h0])
-    match = match_into(union, sigma_f)
-
-    # Empirical multiplicity of each distinct unperturbed eigenvalue inside
-    # the flatten spectrum, counted in a window set by the match quality.
-    window = max(tol, 10.0 * match.max_distance if np.isfinite(match.max_distance) else tol)
-    distinct: list[complex] = []
-    for lam in sigma_h0:
-        if not any(abs(lam - d) <= window for d in distinct):
-            distinct.append(lam)
-    table = tuple(
-        (complex(lam), int(np.sum(np.abs(sigma_f - lam) <= window))) for lam in distinct
-    )
-    return SpectrumUnionReport(
-        max_matching_distance=float(match.max_distance),
-        tolerance=tol,
-        passed=bool(match.max_distance <= tol),
-        flatten_size=sigma_f.shape[0],
-        h_size=sigma_h.shape[0],
-        h0_size=sigma_h0.shape[0],
-        multiplicity_table=table,
-    )
+    sigma_f = dense_eigenvalues(assemble_faddeev_operator(split).flatten())
+    union = np.concatenate([dense_eigenvalues(split.total()), dense_eigenvalues(split.h0)])
+    distance = match_into(union, sigma_f)
+    return SpectrumUnionReport(max_matching_distance=distance, passed=bool(distance <= tol))
 
 
 def random_split(n: int, dim: int, seed: int, hermitian: bool = True) -> FewBodySplit:

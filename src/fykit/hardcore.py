@@ -278,8 +278,6 @@ class Hardcore3Result:
     """
 
     eigen: EigenResult
-    components: tuple
-    psi: np.ndarray
     core_vanishing: float
     restricted_residual: float
     physical: bool
@@ -333,8 +331,7 @@ def solve_hardcore3(
         a, target, b=b, tol=tol, max_iter=max_iter, seed=seed, shifted_factor=shifted_factor
     )
 
-    comps = tuple(np.split(np.real_if_close(result.vector), 3))
-    psi = np.sum(comps, axis=0)
+    psi = np.sum(np.split(np.real_if_close(result.vector), 3), axis=0)
     pnorm = float(np.linalg.norm(psi))
     in_core = np.ones(model.dimension, dtype=bool)
     in_core[kept] = False
@@ -356,8 +353,6 @@ def solve_hardcore3(
     )
     return Hardcore3Result(
         eigen=result,
-        components=comps,
-        psi=psi,
         core_vanishing=float(core_vanishing),
         restricted_residual=float(restricted_residual),
         physical=physical,

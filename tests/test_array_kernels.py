@@ -1,27 +1,20 @@
 """Whole-array kernels against per-vector transcriptions of the same arithmetic.
 
-The four-body residual, the coupling pattern, the stacked potential multiply of
-both shifted solves and the lazy condition estimate are each compared with a
-loop that computes the same sums in the same order, one chain, pair or
-potential at a time. The comparisons are bit for bit.
+The four-body residual, the coupling pattern and the stacked potential multiply
+of both shifted solves are each compared with a loop that computes the same
+sums in the same order, one chain, pair or potential at a time. The
+comparisons are bit for bit.
 """
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import fourbody_models, pencil_models
-from fykit import cli
 from fykit.blockops import _Resolvent
 from fykit.combinatorics import Chain, enumerate_chains
-from fykit.faddeev import (
-    ILL_CONDITION_THRESHOLD,
-    _FaddeevShiftedFactor,
-    faddeev_components,
-    random_split,
-)
+from fykit.faddeev import _FaddeevShiftedFactor, random_split
 from fykit.hardcore import assemble_hardcore3_pencil
 from fykit.lattice import build_split
 from fykit.yakubovsky import (
@@ -205,62 +198,6 @@ def test_stacked_potentials_on_the_hardcore_path_are_per_potential_bit_for_bit(
     shifted = pencil.a.flatten().materialize() - z * pencil.b.flatten().materialize()
     assert np.linalg.norm(shifted @ got - b) <= 1e-12 * (
         np.linalg.norm(shifted, 2) * np.linalg.norm(got) + np.linalg.norm(b))
-
-
-# ----------------------------------------------------------------------
-# the condition estimate, taken on first read
-
-
-def _criterion_2_cases(tiny3_split):
-    split3, _ = tiny3_split
-    vals, vecs = np.linalg.eigh(split3.total().materialize())
-    cases = [(split3, vals[0], vecs[:, 0])]
-    for seed in range(20):
-        split = random_split(3, 4 + seed % 4, seed=seed)
-        vals, vecs = np.linalg.eigh(split.total().materialize())
-        cases.append((split, vals[0], vecs[:, 0]))
-    return cases
-
-
-def test_lazy_condition_estimate_is_the_eager_one(tiny3_split):
-    cases = _criterion_2_cases(tiny3_split)
-    assert len(cases) == 21
-    for split, z, psi in cases:
-        comps = faddeev_components(split, z, psi)
-        eager = _Resolvent(split.h0, z).cond_estimate()
-        assert _bits(comps.h0_cond_estimate) == _bits(eager)
-        assert comps.ill_conditioned == bool(eager > ILL_CONDITION_THRESHOLD)
-
-
-@pytest.fixture
-def onenormest_calls(monkeypatch):
-    calls = []
-    real = spla.onenormest
-
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(spla, "onenormest", spy)
-    return calls
-
-
-def test_solve4_never_estimates_a_condition(onenormest_calls, capsys):
-    assert cli.main(["solve4", "--config", "tiny4"]) == 0
-    assert "chain_sum_defect" in capsys.readouterr().out
-    assert onenormest_calls == []
-
-
-def test_the_estimate_runs_once_on_the_first_read(tiny4_split, onenormest_calls):
-    split, _ = tiny4_split
-    vals, vecs = np.linalg.eigh(split.total().materialize())
-    comps = faddeev_components(split, vals[0], vecs[:, 0])
-    assert onenormest_calls == []
-    flag = comps.ill_conditioned
-    assert len(onenormest_calls) == 1
-    assert comps.ill_conditioned == flag
-    assert np.isfinite(comps.h0_cond_estimate)
-    assert len(onenormest_calls) == 1
 
 
 # ----------------------------------------------------------------------

