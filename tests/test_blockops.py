@@ -494,6 +494,27 @@ def test_shift_invert_is_deterministic():
     assert np.array_equal(r1.vector, r2.vector)
 
 
+@pytest.mark.parametrize("complex_matrix", [True, False],
+                         ids=["complex-hermitian", "real-symmetric-complex-target"])
+def test_shift_invert_complex_problems_match_eigvalsh(complex_matrix):
+    # a complex matrix, or a complex target on a real one, iterates from a complex start vector
+    rng = np.random.default_rng(41)
+    m = random_symmetric(rng, 12)
+    if complex_matrix:
+        im = rng.standard_normal((12, 12))
+        m = m + 0.5j * (im - im.T)
+    want = np.linalg.eigvalsh(m)
+    target = want[3] + 0.01 + (0.0 if complex_matrix else 0.01j)
+    tol = 1e-10
+    res, again = (shift_invert_eigenpair(Operator.sparse(m), target, tol=tol) for _ in range(2))
+    assert np.iscomplexobj(res.vector)
+    assert abs(res.value - want[3]) <= tol
+    assert res.residual_norm <= tol
+    assert np.linalg.norm(m @ res.vector - res.value * res.vector) <= tol * np.linalg.norm(res.vector)
+    for got, first in ((again.value, res.value), (again.vector, res.vector)):
+        assert np.asarray(got).tobytes() == np.asarray(first).tobytes()
+
+
 def test_shift_invert_generalized_pencil():
     rng = np.random.default_rng(37)
     a = random_symmetric(rng, 15)

@@ -9,7 +9,12 @@ from fykit import blockops
 from fykit.blockops import dense_eigenvalues
 from fykit.combinatorics import all_permutations
 from fykit.errors import InvalidInputError
-from fykit.faddeev import AUXILIARY_ROOT_WINDOW, faddeev_components, random_split
+from fykit.faddeev import (
+    AUXILIARY_ROOT_WINDOW,
+    FaddeevComponents,
+    faddeev_components,
+    random_split,
+)
 from fykit.lattice import build_permutation, dense_oracle_spectrum, h0_spectrum
 from fykit.yakubovsky import (
     YakubovskyComponents,
@@ -211,3 +216,15 @@ def test_symmetry_check_skips_degenerate_levels(tiny3, tiny3_split):
     rep = faddeev_symmetry_check(split, pairs, fc, perm_ops, oracle_values=fake_vals)
     assert rep.skipped
     assert rep.notice != ""
+
+
+def test_symmetry_check_skips_a_state_that_is_no_sign_eigenvector(tiny3, tiny3_split):
+    # without oracle values the skip rests on Ψ alone, here a sum of random vectors
+    split, pairs = tiny3_split
+    rng = np.random.default_rng(47)
+    fc = FaddeevComponents(z=-7.0, components=tuple(rng.standard_normal((3, split.dim))))
+    perm_ops = [build_permutation(tiny3, p) for p in all_permutations(3)]
+    rep = faddeev_symmetry_check(split, pairs, fc, perm_ops)
+    assert rep.skipped
+    assert np.isnan(rep.max_deviation)
+    assert "is not a sign eigenvector of permutation" in rep.notice
