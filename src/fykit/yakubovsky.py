@@ -64,6 +64,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .faddeev import (
+    _NORM_FLOOR,
     FaddeevComponents,
     FewBodySplit,
     _FaddeevShiftedFactor,
@@ -84,7 +85,11 @@ __all__ = [
     "faddeev_symmetry_check",
 ]
 
-_NORM_FLOOR = 1e-300
+# The symmetry checks skip a level with two oracle eigenvalues this close to z,
+# and refuse a model whose potential covariance or H0 commutation defect exceeds
+# COVARIANCE_TOL.
+DEGENERACY_GAP = 1e-8
+COVARIANCE_TOL = 1e-10
 
 
 @functools.cache
@@ -416,8 +421,6 @@ def _symmetry_check(
     permute_item,
     perm_ops: Sequence,
     oracle_values: Optional[Sequence[float]],
-    degeneracy_gap: float,
-    covariance_tol: float,
 ) -> SymmetryReport:
     """Shared engine: verify U_π vec_i = s(π) vec_{π(i)} for labeled vectors.
 
@@ -425,7 +428,7 @@ def _symmetry_check(
     permutation; ``psi`` is the total state whose sign s(π) is measured.
     """
     cov, comm = _check_covariance(split.h0, split.potentials, pairs, perm_ops)
-    if cov > covariance_tol or comm > covariance_tol:
+    if cov > COVARIANCE_TOL or comm > COVARIANCE_TOL:
         raise InvalidInputError(
             f"permutation covariance violated: potential defect {cov:.2e}, "
             f"H0 commutation defect {comm:.2e}"
@@ -437,10 +440,10 @@ def _symmetry_check(
     if oracle_values is not None:
         z = np.real(z)
         vals = np.asarray(oracle_values, dtype=float)
-        if int(np.sum(np.abs(vals - z) <= degeneracy_gap)) > 1:
+        if int(np.sum(np.abs(vals - z) <= DEGENERACY_GAP)) > 1:
             return skipped(
                 sign_table={},
-                notice=f"level {z} is degenerate within {degeneracy_gap:.1e}; check skipped",
+                notice=f"level {z} is degenerate within {DEGENERACY_GAP:.1e}; check skipped",
             )
     index = {item: i for i, item in enumerate(items)}
     sign_table = {}
@@ -476,8 +479,6 @@ def component_symmetry_check(
     faddeev: FaddeevComponents,
     perm_ops: Sequence,
     oracle_values: Optional[Sequence[float]] = None,
-    degeneracy_gap: float = 1e-8,
-    covariance_tol: float = 1e-10,
 ) -> SymmetryReport:
     """Verify U_π ψ_{aα} = s(π) ψ_{π(a)π(α)} over all given permutations.
 
@@ -487,13 +488,13 @@ def component_symmetry_check(
     rather than producing a meaningless transport number. Degenerate levels
     are skipped with a notice: transport between arbitrary basis vectors of
     a degenerate eigenspace is not defined by the state alone. Degeneracy is
-    detected from the supplied oracle eigenvalues when given, and from the
-    sign-eigenvector defect of Ψ otherwise.
+    detected from the supplied oracle eigenvalues (two within
+    :data:`DEGENERACY_GAP` of z) when given, and from the sign-eigenvector
+    defect of Ψ otherwise. Both covariance defects must be at most
+    :data:`COVARIANCE_TOL`.
     """
-    return _symmetry_check(
-        sys.split, sys.pairs, sys.chains, list(comps.components), faddeev.total(), comps.z,
-        permute_chain, perm_ops, oracle_values, degeneracy_gap, covariance_tol,
-    )
+    return _symmetry_check(sys.split, sys.pairs, sys.chains, list(comps.components),
+                           faddeev.total(), comps.z, permute_chain, perm_ops, oracle_values)
 
 
 def faddeev_symmetry_check(
@@ -502,8 +503,6 @@ def faddeev_symmetry_check(
     comps: FaddeevComponents,
     perm_ops: Sequence,
     oracle_values: Optional[Sequence[float]] = None,
-    degeneracy_gap: float = 1e-8,
-    covariance_tol: float = 1e-10,
 ) -> SymmetryReport:
     """Three-body analogue: verify U_π ψα = s(π) ψ_{π(α)} over permutations.
 
@@ -513,7 +512,5 @@ def faddeev_symmetry_check(
     """
     if len(pairs) != comps.n:
         raise InvalidInputError(f"{len(pairs)} pairs vs {comps.n} components")
-    return _symmetry_check(
-        split, pairs, list(pairs), list(comps.components), comps.total(), comps.z,
-        permute_pair, perm_ops, oracle_values, degeneracy_gap, covariance_tol,
-    )
+    return _symmetry_check(split, pairs, list(pairs), list(comps.components), comps.total(),
+                           comps.z, permute_pair, perm_ops, oracle_values)
