@@ -61,8 +61,6 @@ from .lattice import (
     LatticeModel,
     PairPotential,
     build_split,
-    dense_oracle_spectrum,
-    hamiltonian_terms,
 )
 from .yakubovsky import (
     YakubovskyComponents,
@@ -617,19 +615,16 @@ def cmd_hardcore4_check(args, out: _Out, cfg: RunConfig) -> int:
     model = _require_model(cfg, n=4)
     if args.core is not None:
         model = dataclasses.replace(model, core_radius=_parse_core_token(args.core))
-    h0, pairs, pots = hamiltonian_terms(model)
-    split = FewBodySplit(h0=h0, potentials=tuple(pots))
+    split = build_split(model)
     sysy = YakubovskySystem(split=split)
     evaluator = Hardcore4Evaluator(sysy, model)
-    if model.has_core:
-        seed_pair = restricted_oracle(model, 1)[0]
-        out.comment(
-            "components built from the restricted-oracle ground state via the "
-            "chain construction (definition-level; eigenpair precondition waived)"
-        )
-    else:
-        seed_pair = dense_oracle_spectrum(model, 1)[0]
-        out.comment("no core: zero constraint sites, defect is exactly zero by construction")
+    out.comment(
+        "components built from the restricted-oracle ground state via the "
+        "chain construction (definition-level; eigenpair precondition waived)"
+        if model.has_core else
+        "no core: zero constraint sites, defect is exactly zero by construction"
+    )
+    seed_pair = restricted_oracle(model, 1)[0]
     z, psi = seed_pair.value, seed_pair.vector
     fc = faddeev_components(split, z, psi, eigenpair_tol=np.inf)
     yc = yakubovsky_components(sysy, z, fc)
