@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import operator
 import os
 import sys
 from dataclasses import dataclass
@@ -116,8 +115,8 @@ class Operator:
 
     Kinds: ``diagonal`` (1-D array of the diagonal) and ``sparse`` (scipy
     CSR; a fully populated matrix is stored sparse too). Both kinds can be
-    materialized. Instances are immutable; arithmetic returns new operators,
-    diagonal when both operands are and sparse otherwise.
+    materialized. Instances are immutable; the one arithmetic is ``+``, whose
+    sum is diagonal when both operands are and sparse otherwise.
     """
 
     __slots__ = ("kind", "dim", "_data")
@@ -158,14 +157,6 @@ class Operator:
             raise InvalidInputError(f"expected a square sparse matrix, got {m.shape}")
         return cls("sparse", m.shape[0], data=m)
 
-    @classmethod
-    def zero(cls, dim: int) -> "Operator":
-        return cls.diagonal(np.zeros(dim))
-
-    @classmethod
-    def identity(cls, dim: int) -> "Operator":
-        return cls.diagonal(np.ones(dim))
-
     # -- application and materialization -------------------------------
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -203,32 +194,14 @@ class Operator:
 
     # -- arithmetic -----------------------------------------------------
 
-    def _binary(self, other: "Operator", op: Callable) -> "Operator":
+    def __add__(self, other):
         if not isinstance(other, Operator):
             return NotImplemented
         if other.dim != self.dim:
             raise InvalidInputError(f"dimension mismatch {self.dim} vs {other.dim}")
         if self.kind == "diagonal" and other.kind == "diagonal":
-            return Operator.diagonal(op(self._data, other._data))
-        return Operator.sparse(op(self._csr(), other._csr()))
-
-    def __add__(self, other):
-        return self._binary(other, operator.add)
-
-    def __sub__(self, other):
-        return self._binary(other, operator.sub)
-
-    def __neg__(self):
-        return self * (-1.0)
-
-    def __mul__(self, scalar):
-        if not np.isscalar(scalar):
-            return NotImplemented
-        if self.kind == "diagonal":
-            return Operator.diagonal(self._data * scalar)
-        return Operator.sparse(self._data * scalar)
-
-    __rmul__ = __mul__
+            return Operator.diagonal(self._data + other._data)
+        return Operator.sparse(self._csr() + other._csr())
 
     def __repr__(self):
         return f"Operator(kind={self.kind!r}, dim={self.dim})"
@@ -349,19 +322,15 @@ def _dense(a, what: str) -> np.ndarray:
     return _as_2d_array(a)
 
 
-def dense_eigenvalues(a, hermitian: bool = False) -> np.ndarray:
+def dense_eigenvalues(a) -> np.ndarray:
     """All eigenvalues of a materializable operator, sorted by (real, imag).
 
-    Delegates to LAPACK's Hessenberg + shifted-QR path (or the symmetric
-    tridiagonal path when ``hermitian`` is set, in which case the result is
-    real). Refuses dimensions above :data:`DENSE_LIMIT`.
+    Delegates to LAPACK's Hessenberg + shifted-QR path. Refuses dimensions
+    above :data:`DENSE_LIMIT`.
     """
     mat = _dense(a, "dense eigenvalues")
     n = mat.shape[0]
     try:
-        if hermitian:
-            vals = sla.eigvalsh(mat)
-            return np.sort(vals)
         vals = sla.eigvals(mat)
     except sla.LinAlgError as exc:
         raise SolverFailureError(

@@ -322,22 +322,11 @@ def cmd_yak_pattern(args, out: _Out, cfg: RunConfig) -> int:
     out.record("columns", header, columns=labels)
     counts = {"3+1": set(), "2+2": set()}
     for i, c in enumerate(chains):
-        cells = []
-        row = {}
-        for j in range(18):
-            if i == j:
-                cells.append("  #")
-                row[labels[j]] = "#"
-            elif mask[i, j]:
-                cells.append(f"{str(c.pair):>3s}")
-                row[labels[j]] = str(c.pair)
-            else:
-                cells.append("  .")
-                row[labels[j]] = "."
+        row = {labels[j]: "#" if i == j else str(c.pair) if mask[i, j] else "." for j in range(18)}
         counts[c.partition.kind].add(int(mask[i].sum()))
         out.record(
             "row",
-            f"{labels[i]:<{width}s}  " + " ".join(cells),
+            f"{labels[i]:<{width}s}  " + " ".join(f"{cell:>3s}" for cell in row.values()),
             chain=labels[i],
             cells=row,
         )

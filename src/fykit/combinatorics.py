@@ -64,9 +64,6 @@ class Pair:
     def of(cls, i: int, j: int) -> "Pair":
         return cls((i, j))
 
-    def __contains__(self, label: int) -> bool:
-        return label in self.members
-
     def __str__(self) -> str:
         return "".join(str(m) for m in self.members)
 

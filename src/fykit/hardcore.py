@@ -73,7 +73,6 @@ from .lattice import (
 from .yakubovsky import YakubovskyComponents, YakubovskySystem
 
 __all__ = [
-    "CoreRegion",
     "HardcorePencil",
     "Hardcore3Result",
     "Hardcore4Report",
@@ -95,25 +94,15 @@ RESTRICTED_RESIDUAL_TOL = 1e-8
 H0_SPECTRUM_GUARD = 1e-6
 
 
-@dataclass(frozen=True)
-class CoreRegion:
-    """Configuration indices where one pair sits at separation ≤ c."""
-
-    pair: Pair
-    sites: np.ndarray
-
-
-def core_region(model: LatticeModel, pair: Pair) -> CoreRegion:
-    """Exact index set {configurations : separation(pair) ≤ c}.
+def core_region(model: LatticeModel, pair: Pair) -> np.ndarray:
+    """Exact index set {configurations : separation(pair) ≤ c}, as int64.
 
     A model without a core yields the empty region, so downstream loops can
     treat "no core" as "zero constraint sites" without branching.
     """
     if not model.has_core:
-        return CoreRegion(pair=pair, sites=np.empty(0, dtype=np.int64))
-    sep = separations(model, pair)
-    sites = np.nonzero(sep <= model.core_radius)[0].astype(np.int64)
-    return CoreRegion(pair=pair, sites=sites)
+        return np.empty(0, dtype=np.int64)
+    return np.nonzero(separations(model, pair) <= model.core_radius)[0].astype(np.int64)
 
 
 def restricted_space(model: LatticeModel) -> np.ndarray:
@@ -121,7 +110,7 @@ def restricted_space(model: LatticeModel) -> np.ndarray:
     keep = np.ones(model.dimension, dtype=bool)
     if model.has_core:
         for pair in model.pairs():
-            keep[core_region(model, pair).sites] = False
+            keep[core_region(model, pair)] = False
     return np.nonzero(keep)[0]
 
 
@@ -245,7 +234,7 @@ def assemble_hardcore3_pencil(model: LatticeModel, surface_only: bool = False) -
 
     owner = np.full(d, -1, dtype=np.int64)
     for i, pair in enumerate(model.pairs()):
-        sites = core_region(model, pair).sites
+        sites = core_region(model, pair)
         if surface_only:  # only the shell at separation exactly c
             sites = sites[separations(model, pair)[sites] == model.core_radius]
         owned = sites[owner[sites] == -1]
@@ -405,11 +394,7 @@ class Hardcore4Evaluator:
         self.sys = sys
         self.model = model
         self.chains = sys.chains
-        self.sites = [core_region(model, chain.pair).sites for chain in self.chains]
-
-    @property
-    def site_count(self) -> int:
-        return int(sum(s.shape[0] for s in self.sites))
+        self.sites = [core_region(model, chain.pair) for chain in self.chains]
 
     def evaluate(self, comps: YakubovskyComponents) -> Hardcore4Report:
         by_chain = comps.by_chain(self.chains)
@@ -436,7 +421,7 @@ class Hardcore4Evaluator:
             per_chain=per_chain,
             max_defect=max_defect,
             relative_defect=float(rel),
-            site_count=self.site_count,
+            site_count=int(sum(s.shape[0] for s in self.sites)),
         )
 
 

@@ -197,11 +197,6 @@ class LatticeModel:
     def has_core(self) -> bool:
         return self.core_radius is not None
 
-    @property
-    def is_identical(self) -> bool:
-        """True when every pair shares one potential (permutation-symmetric)."""
-        return not self.per_pair
-
     def potential_for(self, pair: Pair) -> PairPotential:
         if self.per_pair and pair.members in self.per_pair:
             return self.per_pair[pair.members]
@@ -615,13 +610,12 @@ class PermutationOperator:
     U_π Vα U_π^{−1} = V_{π(α)} hold as exact integer identities.
     """
 
-    __slots__ = ("perm", "index_map", "dim", "sign")
+    __slots__ = ("perm", "index_map", "dim")
 
-    def __init__(self, perm: tuple, index_map: np.ndarray, sign: int):
+    def __init__(self, perm: tuple, index_map: np.ndarray):
         self.perm = perm
         self.index_map = index_map
         self.dim = index_map.shape[0]
-        self.sign = sign
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         vec = np.asarray(vec)
@@ -629,35 +623,8 @@ class PermutationOperator:
             raise InvalidInputError(f"vector length {vec.shape[0]} != {self.dim}")
         return vec[self.index_map]
 
-    def matrix(self) -> sp.csr_matrix:
-        d = self.dim
-        return sp.csr_matrix(
-            (np.ones(d), (np.arange(d), self.index_map)), shape=(d, d)
-        )
-
-    def compose(self, other: "PermutationOperator") -> tuple:
-        """Label permutation of U_self · U_other, for group-law checks."""
-        return tuple(self.perm[other.perm[i] - 1] for i in range(len(self.perm)))
-
     def __repr__(self):
         return f"PermutationOperator(perm={self.perm}, dim={self.dim})"
-
-
-def _parity(perm: Sequence[int]) -> int:
-    seen = [False] * len(perm)
-    sign = 1
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j] - 1
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def build_permutation(model: LatticeModel, perm: Sequence[int]) -> PermutationOperator:
@@ -673,4 +640,4 @@ def build_permutation(model: LatticeModel, perm: Sequence[int]) -> PermutationOp
     if sorted(perm) != list(range(1, model.N + 1)):
         raise InvalidInputError(f"{perm} is not a permutation of 1..{model.N}")
     configs = np.arange(model.dimension, dtype=np.int64).reshape((model.L,) * model.N)
-    return PermutationOperator(perm, configs.transpose(np.argsort(perm)).ravel(), _parity(perm))
+    return PermutationOperator(perm, configs.transpose(np.argsort(perm)).ravel())

@@ -134,9 +134,6 @@ class YakubovskySystem:
     def dim(self) -> int:
         return self.split.dim
 
-    def potential(self, pair: Pair) -> Operator:
-        return self.split.potentials[self.pairs.index(pair)]
-
 
 @dataclass(frozen=True)
 class YakubovskyComponents:

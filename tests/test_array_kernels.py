@@ -41,7 +41,7 @@ def _per_chain_residual(sys, comps):
     for i, chain in enumerate(sys.chains):
         a, alpha = chain.partition, chain.pair
         psi = by_chain[chain]
-        v = sys.potential(alpha)
+        v = sys.split.potentials[sys.pairs.index(alpha)]
         same = np.zeros(sys.dim)
         for beta in a.internal_pairs():
             if beta != alpha:
