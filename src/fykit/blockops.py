@@ -781,7 +781,7 @@ def match_into(values, pool) -> float:
     multiplicities are respected. Greedy matching is not an optimal
     assignment, but at the tolerances used here the spectra either match far
     below level spacing or fail loudly, so the cheap matcher is adequate and
-    deterministic. A NaN distance makes the result NaN.
+    deterministic. No values give 0.0, and a NaN distance makes the result NaN.
     """
     a = _sorted_complex(values)
     pool = _sorted_complex(pool)
@@ -795,7 +795,7 @@ def match_into(values, pool) -> float:
         j = int(np.argmin(d))
         used[j] = True
         dists[i] = d[j]
-    return float(dists.max())
+    return float(dists.max(initial=0.0))
 
 
 def dump_matrix_text(path, a) -> None:

@@ -708,3 +708,9 @@ def test_dump_matrix_round_trips(tmp_path):
     back = np.array([[float(tok) for tok in line.split()] for line in lines[1:]])
     assert np.array_equal(back, a)
 
+
+def test_match_into_of_no_values_is_zero():
+    assert match_into([], [1.0, 2.0]) == 0.0
+    assert match_into([], []) == 0.0
+    # the empty-safe maximum still lets a NaN distance through
+    assert np.isnan(match_into([np.nan], [1.0, 2.0]))
