@@ -548,7 +548,7 @@ def cmd_hardcore3(args, out: _Out, cfg: RunConfig) -> int:
         cores = [_parse_core_token(args.core)]
     else:
         cores = [model.core_radius]
-    target = args.target  # explicit only; per-core auto target otherwise
+    target = cfg.target  # --target only; per-core auto target otherwise
     out.comment("target: restricted-oracle ground state per core radius"
                 if target is None else f"target: {_g(target)}")
     if args.dump_matrix:
@@ -719,6 +719,8 @@ def main(argv: Optional[list] = None) -> int:
     try:
         cfg = load_config(args.config) if getattr(args, "config", None) else RunConfig()
         cfg.format = args.format or cfg.format  # the format in effect, as the header echoes it
+        if "target" in args:  # hardcore3 targets only what --target gives
+            cfg.target = args.target
         out = _Out(machine=(cfg.format == "machine"), quiet=args.quiet)
         _header(out, args.command, cfg if getattr(args, "config", None) else None, args.seed)
         rc = args.run(args, out, cfg)
