@@ -10,7 +10,8 @@ a hard-core sweep whose explicit target lands on an auxiliary pencil root
 (the warning path), the stdout of ``solve3`` and ``solve4`` at targets next
 to σ(H0) (their warning paths, in table and machine format), the stdout of
 ``solve3`` at an eigenvalue where the Lippmann–Schwinger residual is undefined
-(its skipped-check path, in both formats), and the stderr of the hard-core
+and of ``solve4`` at one where the Faddeev components are (their
+skipped-check paths, in both formats), and the stderr of the hard-core
 sweep with ``max_iter = 1`` (the error path).
 """
 
@@ -54,6 +55,9 @@ NEAR_FREE3 = (
     "[model]\nN = 3\nL = 4\nboundary = box\nt = 1.0\npotential.kind = onsite\n"
     "potential.params = -1e-6\n"
 )
+# its four-body twin: E0 lies 1.8e-6 from σ(H0), where the Faddeev components
+# the chain-sum check reconstructs are undefined
+NEAR_FREE4 = NEAR_FREE3.replace("N = 3", "N = 4")
 
 # tiny3 with a core of radius 1, for the oracle's restricted-space path
 CORE3 = (
@@ -180,6 +184,20 @@ def test_solve3_skips_an_undefined_lippmann_schwinger_residual(fmt, tmp_path):
                        else "solve3-ls-undefined.machine.out")
     assert normalized(proc.stdout) == golden.read_text()
     assert "\n# lippmann-schwinger residual undefined: z = " in proc.stdout
+
+
+@pytest.mark.parametrize("fmt", ["table", "machine"])
+def test_solve4_skips_the_chain_sum_check_when_the_components_are_undefined(fmt, tmp_path):
+    cfg = tmp_path / "near-free4.cfg"
+    cfg.write_text(NEAR_FREE4)
+    proc = run("solve4", "--config", str(cfg), "--format", fmt)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    golden = GOLDEN / ("solve4-components-undefined.out" if fmt == "table"
+                       else "solve4-components-undefined.machine.out")
+    assert normalized(proc.stdout) == golden.read_text()
+    assert "\n# faddeev components undefined: z = " in proc.stdout
+    assert '"chain_sum"' not in proc.stdout and "total reconstruction defect" not in proc.stdout
 
 
 def test_hardcore3_error_path_is_deterministic(tmp_path):
