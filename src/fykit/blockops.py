@@ -390,13 +390,14 @@ def _gershgorin_positive(m: sp.csr_matrix) -> bool:
     return bool(np.all(diag - radius > margin))
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def _conjugate_gradients(m: sp.csr_matrix, b: np.ndarray) -> np.ndarray:
     """Conjugate gradients (Hestenes & Stiefel, J. Res. NBS 49, 1952) on every
     column of b at once, for a Hermitian positive definite m.
 
     A column stops when its recursive residual reaches ε·‖b_j‖, when it is no
-    smaller than ``_CG_STALL`` steps before, or after dim m steps; the caller
-    certifies the result.
+    smaller than ``_CG_STALL`` steps before, when an underflow makes it NaN
+    (silently), or after dim m steps; the caller certifies the result.
     """
     def dot(u, v):
         return np.vecdot(u, v, axis=0).real  # conjugates u

@@ -403,6 +403,17 @@ def test_conjugate_gradients_match_superlu_below_the_gershgorin_bound(system, se
     assert "lu" not in resolvent.__dict__
 
 
+def test_an_underflowing_conjugate_gradient_column_goes_to_lu_without_a_warning():
+    # m = 1e-130·I is positive definite, but p·(m p) underflows to 0 on the
+    # first step; the column turns NaN, stops, and the LU path solves it
+    m = Operator.diagonal(np.full(3, 1e-130))
+    resolvent = _Resolvent(m, 0.0)
+    assert resolvent.positive is not None
+    x = resolvent.solve(np.full(3, 1e-131))  # a numpy warning would fail here
+    assert np.allclose(x, 0.1, rtol=1e-15, atol=0.0)
+    assert "lu" in resolvent.__dict__
+
+
 def test_resolvent_keeps_the_lu_path_off_the_certificate():
     # fully populated random splits, a complex shift, and z at or above the
     # bottom of σ(H0) are all solved by SuperLU, as before conjugate gradients

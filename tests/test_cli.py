@@ -10,7 +10,7 @@ import dataclasses
 import pytest
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from fykit import blockops, cli, hardcore, lattice, yakubovsky
@@ -523,3 +523,56 @@ def test_solve4_skips_the_chain_sum_check_off_an_eigenvector(tmp_path):
     assert f"{sol['eigenvalue']:.11f}" == "-10.73159577624"
     assert 1e-6 < sol["residual"] <= 1e-3
     assert not {r["record"] for r in records} & {"chain_sum", "totals"}
+
+
+# depths of either sign with magnitudes 1e-6 to 10, log-uniform, so near-zero
+# wells, whose bound state lies next to the free continuum, come up as often as
+# strong ones; at t = 0 a well near 1e-154 deep overflows the inverse iteration
+_DEPTHS = st.builds(lambda sign, e: sign * 10.0 ** e,
+                    st.sampled_from([-1.0, 1.0]), st.floats(min_value=-6.0, max_value=1.0))
+
+
+@st.composite
+def _config_models(draw):
+    """The [model] section of a core-free N = 3 or 4 config with L^N <= 729."""
+    n = draw(st.sampled_from([3, 4]))
+    kind = draw(st.sampled_from(["onsite", "square", "gaussian", "table"]))
+    depth = draw(_DEPTHS)
+    params = {
+        "onsite": (depth,),
+        "square": (depth, draw(st.integers(min_value=0, max_value=3))),
+        "gaussian": (depth, draw(st.floats(min_value=0.2, max_value=3.0))),
+        "table": (depth, *draw(st.lists(_DEPTHS, max_size=4))),
+    }[kind]
+    return "\n".join([
+        "[model]",
+        f"N = {n}",
+        f"L = {draw(st.integers(min_value=2, max_value={3: 9, 4: 5}[n]))}",
+        f"boundary = {draw(st.sampled_from(['box', 'ring']))}",
+        f"t = {draw(st.one_of(st.just(0.0), st.floats(min_value=0.05, max_value=2.0)))!r}",
+        f"potential.kind = {kind}",
+        "potential.params = " + ", ".join(repr(float(p)) for p in params),
+    ]) + "\n"
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_config_models())
+# a bound state 1.8e-6 below σ(H0), where the chain-sum check cannot build its components
+@example(text="[model]\nN = 4\nL = 4\nboundary = box\nt = 1.0\npotential.kind = onsite\n"
+              "potential.params = -1e-6\n")
+def test_auto_target_solves_find_the_oracle_ground_state(capsys, tmp_path, text):
+    cfg_path = tmp_path / "model.cfg"
+    cfg_path.write_text(text)
+    cfg = load_config(str(cfg_path))
+    model = cfg.model
+    e0 = lattice.dense_oracle_spectrum(model, 1)[0].value
+    # a bound state below the free continuum, where the components exist
+    assume(e0 < sla.eigvalsh(lattice.build_h0(model).materialize())[0])
+    rc = cli.main([f"solve{model.N}", "--config", str(cfg_path), "--format", "machine"])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    records = [json.loads(line) for line in data_lines(captured.out)]
+    sol = next(r for r in records if r["record"] == "solution")
+    assert abs(sol["eigenvalue"] - e0) <= 1e-8 * (1.0 + abs(e0))
+    assert sol["residual"] <= cfg.tol
