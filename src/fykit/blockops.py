@@ -691,7 +691,11 @@ def shift_invert_eigenpair(
     for iterations in range(1, max_iter + 1):
         rhs = v if bmat is None else bmat @ v
         w = factor.solve(rhs)
-        wnorm = np.linalg.norm(w)
+        with np.errstate(over="ignore", invalid="ignore"):
+            wnorm = np.linalg.norm(w)
+            if np.isinf(wnorm):  # the iterate of a tiny A overflows the sum of squares
+                w = w / np.max(np.abs(w))
+                wnorm = np.linalg.norm(w)
         if not np.isfinite(wnorm) or wnorm == 0.0:
             raise SolverFailureError(
                 "inverse iteration produced a non-finite or zero iterate",

@@ -527,7 +527,7 @@ def test_solve4_skips_the_chain_sum_check_off_an_eigenvector(tmp_path):
 
 # depths of either sign with magnitudes 1e-6 to 10, log-uniform, so near-zero
 # wells, whose bound state lies next to the free continuum, come up as often as
-# strong ones; at t = 0 a well near 1e-154 deep overflows the inverse iteration
+# strong ones; the tiny wells of t = 0 models are pinned below
 _DEPTHS = st.builds(lambda sign, e: sign * 10.0 ** e,
                     st.sampled_from([-1.0, 1.0]), st.floats(min_value=-6.0, max_value=1.0))
 
@@ -576,3 +576,17 @@ def test_auto_target_solves_find_the_oracle_ground_state(capsys, tmp_path, text)
     sol = next(r for r in records if r["record"] == "solution")
     assert abs(sol["eigenvalue"] - e0) <= 1e-8 * (1.0 + abs(e0))
     assert sol["residual"] <= cfg.tol
+
+
+@pytest.mark.parametrize("n, e0", [(3, "-1.689000000000e-153"), (4, "-3.378000000000e-153")])
+def test_a_tiny_hamiltonian_does_not_overflow_the_inverse_iteration(tmp_path, n, e0):
+    # at t = 0, H = ΣVα: wells of −5.63e-154 make the raw inverse iterate's
+    # entries so large that its sum of squares overflows
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(f"[model]\nN = {n}\nL = 2\nboundary = box\nt = 0.0\n"
+                   "potential.kind = onsite\npotential.params = -5.63e-154\n")
+    proc = run_cli(f"solve{n}", "--config", str(cfg))
+    assert proc.stderr == ""
+    solution = next(line for line in proc.stdout.splitlines() if line.startswith("eigenvalue "))
+    assert solution.split()[1] == e0
+    assert f"{lattice.dense_oracle_spectrum(load_config(str(cfg)).model, 1)[0].value:.12e}" == e0
