@@ -28,10 +28,11 @@ lattice solvers factor only
 H − z (d-dimensional), solve H0 − z and the channels H0 + Vα − z through their
 Kronecker diagonalizations (:class:`fykit.lattice.KroneckerChannel`) and use
 the flattens for products; the hard-core pencil A − zB itself is factored only
-next to σ(H0). The post-hoc checks solve their shifted systems through
-:func:`linear_solve`, by conjugate gradients when a Gershgorin bound proves the
-matrix positive definite (H0 − z below the free spectrum) and by SuperLU
-otherwise.
+next to σ(H0). The post-hoc checks solve their shifted systems through a
+certified :class:`_Resolvent`, which tries a channel's Kronecker solve first
+and accepts each column only on its residual against the assembled matrix;
+every other column, and every solve without a channel, goes through SuperLU
+and iterative refinement (:func:`linear_solve`).
 
 Every shift-invert solve in the package goes through
 :func:`shift_invert_eigenpair`, which steps every factorization off a
@@ -78,9 +79,6 @@ DENSE_LIMIT = 4096
 
 _REFINE_TARGET = 1e-12
 _MAX_REFINE = 10
-# a conjugate-gradient column whose recursive residual has not fallen over
-# this many steps stops
-_CG_STALL = 10
 _MAX_FACTORIZATIONS = 12
 
 
@@ -342,93 +340,17 @@ def dense_eigenvalues(a) -> np.ndarray:
 
 
 def linear_solve(a, z, rhs) -> np.ndarray:
-    """Solve (A − z·I)·x = rhs, by conjugate gradients when that is proven safe.
+    """Solve (A − z·I)·x = rhs by SuperLU and iterative refinement.
 
-    When A − z·I is real, sparse, exactly symmetric and has all its Gershgorin
-    discs in (0, ∞), so that it is positive definite (:func:`_gershgorin_positive`),
-    conjugate gradients solve it on its CSR matrix alone; otherwise SuperLU
-    factors it and iterative refinement follows. Either way
-    each returned column has a true residual at or below 1e-12 relative to its
-    right-hand side: a conjugate-gradient column that misses it is solved
-    again by the LU path, and a system the LU path cannot bring to that
-    target is reported as singular to working precision rather than returned
-    silently degraded; an exactly singular one raises :class:`ShiftSingularError`,
-    a :class:`SingularMatrixError` too. A zero right-hand side returns zeros
-    without factoring. A is read as stored, never copied or modified.
+    Each returned column has a true residual at or below 1e-12 relative to
+    its right-hand side: a system the refinement cannot bring to that target
+    is reported as singular to working precision rather than returned
+    silently degraded, and an exactly singular one raises
+    :class:`ShiftSingularError`, a :class:`SingularMatrixError` too. A zero
+    right-hand side returns zeros without factoring. A is read as stored,
+    never copied or modified.
     """
     return _Resolvent(a, z).solve(rhs)
-
-
-def _gershgorin_positive(m: sp.csr_matrix) -> bool:
-    """Whether conjugate gradients may solve with the CSR matrix m: m is real,
-    sparse, exactly symmetric, and every Gershgorin disc lies in (0, ∞),
-    which makes m positive definite.
-
-    Disc i is centred on m_ii with radius Σ_{j≠i}|m_ij|. The rounding of the
-    radius sums is covered by a margin of (row nonzeros)·ε times the row's
-    absolute sum, so a lower bound of exactly 0 (H0 − z at z = 0) never passes.
-    Sparse means at most n²/3 stored entries: then even n steps, the most
-    :func:`_conjugate_gradients` takes, cost no more than a dense LU
-    (2·nnz flops a step against 2n³/3), while a fully populated matrix, such
-    as a random split's, is cheaper to factor.
-    """
-    n = m.shape[0]
-    if 3 * m.nnz > n * n or np.iscomplexobj(m.data):
-        return False
-    rows = np.repeat(np.arange(n), np.diff(m.indptr))
-    cols = m.indices.astype(np.int64)
-    # sorted by the key of its transposed position, each entry must land on an
-    # entry of m (row-major keys) with the same value; a non-canonical m fails
-    flipped = np.argsort(cols * n + rows)
-    if not (np.array_equal(cols[flipped] * n + rows[flipped], rows * n + cols)
-            and np.array_equal(m.data[flipped], m.data)):
-        return False
-    off = cols != rows
-    radius = np.bincount(rows[off], np.abs(m.data[off]), minlength=n)
-    diag = m.diagonal()
-    margin = np.diff(m.indptr) * np.finfo(np.float64).eps * (np.abs(diag) + radius)
-    return bool(np.all(diag - radius > margin))
-
-
-@np.errstate(divide="ignore", invalid="ignore")
-def _conjugate_gradients(m: sp.csr_matrix, b: np.ndarray) -> np.ndarray:
-    """Conjugate gradients (Hestenes & Stiefel, J. Res. NBS 49, 1952) on every
-    column of b at once, for a Hermitian positive definite m.
-
-    A column stops when its recursive residual reaches ε·‖b_j‖, when it is no
-    smaller than ``_CG_STALL`` steps before, when an underflow makes it NaN
-    (silently), or after dim m steps; the caller certifies the result.
-    """
-    def dot(u, v):
-        return np.vecdot(u, v, axis=0).real  # conjugates u
-
-    x = np.zeros_like(b)
-    rho = dot(b, b)
-    cols = np.flatnonzero(rho > 0.0)
-    r, rho = np.ascontiguousarray(b[:, cols]), rho[cols]  # m @ p copies a non-C-order p
-    xc, p = np.zeros_like(r), r.copy()
-    stop, earlier = np.finfo(np.float64).eps ** 2 * rho, rho
-    for step in range(1, m.shape[0] + 1):
-        if cols.size == 0:
-            return x
-        q = m @ p
-        alpha = rho / dot(p, q)
-        xc += alpha * p
-        r -= alpha * q
-        rho_new = dot(r, r)
-        p *= rho_new / rho
-        p += r
-        rho = rho_new
-        going = rho > stop  # False on NaN too
-        if step % _CG_STALL == 0:
-            going &= rho < earlier
-            earlier = rho
-        if not going.all():
-            x[:, cols[~going]] = xc[:, ~going]
-            cols, rho, stop, earlier = cols[going], rho[going], stop[going], earlier[going]
-            xc, r, p = (np.ascontiguousarray(a[:, going]) for a in (xc, r, p))
-    x[:, cols] = xc
-    return x
 
 
 class _Resolvent:
@@ -441,31 +363,29 @@ class _Resolvent:
     first use and reports an exactly singular matrix as
     :class:`ShiftSingularError`.
 
-    ``solve`` is certified, as :func:`linear_solve` documents. When A − z·B
-    passes :func:`_gershgorin_positive`, ``positive`` holds its CSR matrix and
-    :func:`_conjugate_gradients` solves all columns at once; a column whose
-    true residual exceeds ``_REFINE_TARGET`` relative to its right-hand side
-    goes to the LU path, which refines each column on its own and raises
-    :class:`SingularMatrixError` when it cannot reach the target. The
-    certificate is built on the first ``solve``.
+    ``solve`` is certified, as :func:`linear_solve` documents. ``first``, when
+    given, is called by each ``solve`` and returns another solver of A − z·B,
+    such as a channel's Kronecker solve, which takes all columns at once. A
+    column it returns is kept when its true residual against the assembled
+    A − z·B is at or below ``_REFINE_TARGET`` relative to its right-hand
+    side, so a wrong first solver cannot pass. Every other column, and every
+    column when ``first`` raises :class:`ShiftSingularError`, goes to the LU
+    path, which refines each column on its own and raises
+    :class:`SingularMatrixError` when it cannot reach the target.
 
     With ``refine=False`` (shift-invert) the matrix is factored at once and
-    ``solve`` is the bare LU solve: no certificate, no refinement, and a
-    non-finite result raises :class:`ShiftSingularError`. On a real factor a
-    complex right-hand side is solved as its real and imaginary parts.
+    ``solve`` is the bare LU solve: no refinement, and a non-finite result
+    raises :class:`ShiftSingularError`. On a real factor a complex right-hand
+    side is solved as its real and imaginary parts.
     """
 
-    def __init__(self, a, z, b=None, refine=True):
+    def __init__(self, a, z, b=None, refine=True, first: Optional[Callable] = None):
         mat = _stored_csr(a)
         self.shifted = mat - (_diagonal_csr(z * np.ones(mat.shape[0])) if b is None
                               else z * _stored_csr(b))
-        self.dtype, self.refine = self.shifted.dtype, refine
+        self.dtype, self.refine, self.first = self.shifted.dtype, refine, first
         if not refine:
             self.lu  # a singular shift raises here, where the shift-invert step-off expects it
-
-    @functools.cached_property
-    def positive(self) -> Optional[sp.csr_matrix]:
-        return self.shifted if _gershgorin_positive(self.shifted) else None
 
     @functools.cached_property
     def m(self):
@@ -490,28 +410,23 @@ class _Resolvent:
             if not np.all(np.isfinite(x)):
                 raise ShiftSingularError("sparse factor returned non-finite solution")
             return x
-        # C order: the conjugate-gradient and LU paths round differently on other layouts
+        # C order, so the bytes do not depend on the caller's layout
         b = np.ascontiguousarray(rhs, dtype=np.result_type(self.dtype, np.asarray(rhs).dtype))
         if b.shape[0] != self.shifted.shape[0]:
             raise InvalidInputError(
                 f"rhs length {b.shape[0]} != matrix dim {self.shifted.shape[0]}")
-        if self.positive is not None:
-            return self._cg_solve(b)
         cols = b.reshape(b.shape[0], -1)
-        x = np.zeros_like(cols)
-        for j in range(cols.shape[1]):
-            x[:, j] = self._lu_solve(cols[:, j])
-        return x.reshape(b.shape)
-
-    def _cg_solve(self, b: np.ndarray) -> np.ndarray:
-        """Conjugate gradients on the columns of b; a column whose true residual
-        exceeds ``_REFINE_TARGET`` relative to its right-hand side is solved by
-        ``_lu_solve`` instead."""
-        cols = b.reshape(b.shape[0], -1)
-        x = _conjugate_gradients(self.positive, cols)
-        res = np.linalg.norm(cols - self.positive @ x, axis=0)
-        certified = res <= _REFINE_TARGET * np.linalg.norm(cols, axis=0)
-        for j in np.flatnonzero(~certified):
+        x, rest = np.zeros_like(cols), range(cols.shape[1])
+        if self.first is not None:
+            try:
+                y = self.first().solve(cols)
+            except ShiftSingularError:
+                pass
+            else:
+                res = np.linalg.norm(cols - self.shifted @ y, axis=0)
+                kept = res <= _REFINE_TARGET * np.linalg.norm(cols, axis=0)  # False on NaN
+                x[:, kept], rest = y[:, kept], np.flatnonzero(~kept)
+        for j in rest:
             x[:, j] = self._lu_solve(cols[:, j])
         return x.reshape(b.shape)
 

@@ -37,7 +37,6 @@ from .blockops import (
     _Resolvent,
     _stored_csr,
     dense_eigenvalues,
-    linear_solve,
     match_into,
 )
 from .errors import (
@@ -76,10 +75,10 @@ class FewBodySplit:
     part α, each with ``spectrum()``, ``solver(z, companions)`` and a
     ``basis_id`` shared by channels of one eigenbasis, as
     :func:`fykit.lattice.build_split` builds them (a pair channel's L²×L²
-    ``eigh`` runs on its first use, once per distinct potential, so only ``fy
-    solve4`` pays for it). :meth:`channel_solver` and :meth:`channel_spectrum`
-    use them when present, and otherwise factor or
-    diagonalize the assembled operator. :meth:`total` is assembled once and
+    ``eigh`` runs on its first use, once per distinct potential, so only the
+    four-body commands pay for it). :meth:`channel_solver`, :meth:`resolvent`
+    and :meth:`channel_spectrum` use them when present, and otherwise factor
+    or diagonalize the assembled operator. :meth:`total` is assembled once and
     lives as long as the split; ``dataclasses.replace`` makes one that sums anew.
     """
 
@@ -118,6 +117,20 @@ class FewBodySplit:
         if self.channels is not None:
             return self.channels[0 if part is None else part + 1].solver(z)
         return _Resolvent(self._channel(part), z, refine=False)
+
+    def resolvent(self, z, part: Optional[int] = None):
+        """The certified (H0 − z)⁻¹, or (H0 + V_part − z)⁻¹, as a
+        :class:`~fykit.blockops._Resolvent` of the assembled operator.
+
+        With ``channels`` each solve tries the channel's Kronecker solve
+        first and keeps only the columns it certifies against the assembled
+        operator; the rest, and every column without ``channels``, go
+        through SuperLU and refinement.
+        """
+        first = None
+        if self.channels is not None:
+            first = functools.partial(self.channels[0 if part is None else part + 1].solver, z)
+        return _Resolvent(self._channel(part), z, first=first)
 
     def channel_groups(self, z) -> list:
         """Every (H0 + Vα − z)⁻¹ as ``(parts, solver)``, one group per ``basis_id``
@@ -212,7 +225,7 @@ def lippmann_schwinger_residual(split: FewBodySplit, z, psi: np.ndarray) -> floa
         raise InvalidInputError("residual undefined for the zero vector")
     rhs = split.potential_rows_apply(psi[None]).sum(axis=0)  # ΣVα Ψ, added in part order
     try:
-        x = linear_solve(split.h0, z, rhs)
+        x = split.resolvent(z).solve(rhs)
     except SingularMatrixError as exc:
         raise SpuriousEnergyError(
             f"z = {z} lies in (or numerically on) the unperturbed spectrum"
@@ -230,13 +243,13 @@ def faddeev_components(
 
     The construction only makes sense on an eigenpair, so the eigenpair
     residual ‖HΨ − zΨ‖/‖Ψ‖ is measured first and a violation is reported as
-    a precondition failure carrying the measured value. One
-    :class:`~fykit.blockops._Resolvent` of H0 − z takes the n solves as one
-    block: by conjugate gradients when H0 − z is provably positive definite
-    (z below every Gershgorin disc of H0, as for a bound state on a lattice),
-    otherwise from one LU. The components exist only for z outside σ(H0): a
-    solve that cannot certify its residual makes H0 − z singular to working
-    precision and raises :class:`SpuriousEnergyError`.
+    a precondition failure carrying the measured value. The split's certified
+    :meth:`~FewBodySplit.resolvent` of H0 − z takes the n solves as one
+    block: by the Kronecker solve of H0 on a lattice, each column kept only
+    when its residual is certified, otherwise from one LU. The components
+    exist only for z outside σ(H0): a solve that cannot certify its residual
+    makes H0 − z singular to working precision and raises
+    :class:`SpuriousEnergyError`.
     """
     psi = np.asarray(psi)
     pnorm = np.linalg.norm(psi)
@@ -251,7 +264,7 @@ def faddeev_components(
         )
     rhs = np.stack([v.apply(psi) for v in split.potentials], axis=1)
     try:
-        comps = _Resolvent(split.h0, z).solve(rhs)
+        comps = split.resolvent(z).solve(rhs)
     except SingularMatrixError as exc:
         raise SpuriousEnergyError(
             f"z = {z} is numerically in the unperturbed spectrum"
@@ -371,9 +384,8 @@ def faddeev_integral_map(split: FewBodySplit, z, comps: Sequence[np.ndarray]) ->
     out = []
     for i, v in enumerate(split.potentials):
         rhs = v.apply(total - comps[i])
-        channel = split.h0 + v
         try:
-            out.append(-linear_solve(channel, z, rhs))
+            out.append(-split.resolvent(z, i).solve(rhs))
         except SingularMatrixError as exc:
             raise ChannelEnergyError(
                 f"z = {z} is numerically in the spectrum of channel {i}",

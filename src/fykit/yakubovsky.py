@@ -47,7 +47,6 @@ from .blockops import (
     BlockOperator,
     EigenResult,
     Operator,
-    _Resolvent,
     shift_invert_eigenpair,
 )
 from .combinatorics import (
@@ -162,19 +161,19 @@ def yakubovsky_components(
     H0 + Vα at z applied to Vα times the sum of the *other* pair components
     living inside the cluster a. A z inside some channel spectrum breaks
     only that channel, so the error names the offending pair. The three
-    chains of a pair are solved as one block by one
-    :class:`~fykit.blockops._Resolvent` of their channel operator: conjugate
-    gradients when H0 + Vα − z is provably positive definite, one LU
-    otherwise.
+    chains of a pair are solved as one block by the split's certified
+    :meth:`~fykit.faddeev.FewBodySplit.resolvent` of their channel operator:
+    by its Kronecker solve on a lattice, each column kept only when its
+    residual is certified, otherwise from one LU.
     """
     if faddeev.n != 6:
         raise InvalidInputError(f"need the 6 pair components, got {faddeev.n}")
     comps = np.concatenate([faddeev.components, np.zeros((1, sys.dim))])
     others = comps[sys.chain_others].sum(axis=1)
     out = [None] * len(sys.chains)
-    for alpha, rows, v in zip(sys.pairs, sys.pair_rows, sys.split.potentials):
+    for part, (alpha, rows, v) in enumerate(zip(sys.pairs, sys.pair_rows, sys.split.potentials)):
         try:
-            sols = _Resolvent(sys.split.h0 + v, z).solve(v.apply(np.stack(others[rows], axis=1)))
+            sols = sys.split.resolvent(z, part).solve(v.apply(np.stack(others[rows], axis=1)))
         except SingularMatrixError as exc:
             raise ChannelEnergyError(
                 f"z = {z} is numerically in the spectrum of channel {alpha}",

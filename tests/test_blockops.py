@@ -10,7 +10,7 @@ from scipy.sparse.csgraph import structural_rank
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fykit import blockops
+from fykit import blockops, lattice
 from fykit.blockops import (
     BlockOperator,
     Operator,
@@ -25,15 +25,20 @@ from fykit.blockops import (
 from fykit.errors import (
     InvalidInputError,
     ShiftSingularError,
+    ChannelEnergyError,
     SingularMatrixError,
     SolverFailureError,
+    SpuriousEnergyError,
     TooLargeError,
 )
 
 from fykit.faddeev import (
+    FaddeevComponents,
     FewBodySplit,
     assemble_faddeev_operator,
     faddeev_components,
+    faddeev_integral_map,
+    lippmann_schwinger_residual,
     random_split,
 )
 from fykit.hardcore import assemble_hardcore3_pencil
@@ -41,9 +46,11 @@ from fykit.lattice import (
     LatticeModel,
     PairPotential,
     build_hamiltonian,
-    h0_spectrum,
+    build_split,
     hamiltonian_terms,
+    kronecker_channels,
 )
+from fykit.yakubovsky import YakubovskySystem, yakubovsky_components
 
 from conftest import POTENTIALS, random_symmetric
 
@@ -361,12 +368,25 @@ def _gershgorin_lower(m):
     return float(np.min(diag - (np.abs(dense).sum(axis=1) - np.abs(diag))))
 
 
+def _lattice_split(model):
+    """``build_split(model)``; for N = 2, whose one pair makes no split, H0 + V12 + 0,
+    the zero part's channel being H0's own."""
+    if model.N > 2:
+        return build_split(model)
+    h0, _, (v,) = hamiltonian_terms(model)
+    free, pair = kronecker_channels(model)
+    return FewBodySplit(h0=h0, potentials=(v, Operator.diagonal(np.zeros(h0.dim))),
+                        channels=(free, pair, free))
+
+
 @st.composite
-def spd_lattice_systems(draw):
-    """A lattice H0, channel H0 + Vα or H, and a shift 0.5–10 below its Gershgorin bound."""
+def channel_resolvent_cases(draw):
+    """A lattice split, one of its parts (None for H0), a shift 0.5–10 below the
+    channel operator's Gershgorin bound or 0.5–5 off the real axis, and one
+    or several right-hand sides."""
     n = draw(st.integers(min_value=2, max_value=4))
-    # from these sizes up every lattice operator stores at most a third of its entries
-    L = draw(st.integers(min_value={2: 4, 3: 3, 4: 2}[n], max_value={2: 12, 3: 6, 4: 4}[n]))
+    L = draw(st.integers(min_value=2, max_value={2: 10, 3: 5, 4: 3}[n]))
+    pair_key = (draw(st.integers(min_value=1, max_value=n - 1)), n)
     model = LatticeModel(
         N=n,
         L=L,
@@ -374,95 +394,93 @@ def spd_lattice_systems(draw):
         t=draw(st.floats(min_value=0.1, max_value=2.0)),
         potential=draw(POTENTIALS),
         core_radius=draw(st.sampled_from([c for c in (None, 0, 1) if c is None or c < L])),
+        per_pair=draw(st.one_of(st.none(), st.fixed_dictionaries({pair_key: POTENTIALS}))),
     )
-    h0, _, pots = hamiltonian_terms(model)
-    a = draw(st.sampled_from(["h0", "channel", "h"]))
-    op = {"h0": h0, "channel": h0 + pots[0], "h": build_hamiltonian(model)}[a]
-    z = _gershgorin_lower(op.to_sparse()) - draw(st.floats(min_value=0.5, max_value=10.0))
-    return op, z
+    split = _lattice_split(model)
+    part = draw(st.sampled_from([None, *range(split.n)]))
+    channel = split.h0 if part is None else split.h0 + split.potentials[part]
+    if draw(st.booleans()):
+        z = _gershgorin_lower(channel.to_sparse()) - draw(st.floats(min_value=0.5, max_value=10.0))
+    else:
+        z = complex(draw(st.floats(min_value=-10.0, max_value=20.0)),
+                    draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(min_value=0.5, max_value=5.0)))
+    shape = draw(st.sampled_from([(split.dim,), (split.dim, 1), (split.dim, 4)]))
+    rhs = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(shape)
+    return split, part, channel, z, rhs
 
 
-@settings(max_examples=60, deadline=None)
-@given(system=spd_lattice_systems(), seed=st.integers(min_value=0, max_value=2**32 - 1))
-def test_conjugate_gradients_match_superlu_below_the_gershgorin_bound(system, seed):
-    op, z = system
-    d = op.dim
-    shifted = sp.csc_matrix(op.to_sparse() - z * sp.identity(d))
-    rhs = np.random.default_rng(seed).standard_normal((d, 3))
-    resolvent = _Resolvent(op, z)
+@settings(max_examples=80, deadline=None)
+@given(case=channel_resolvent_cases())
+def test_channel_resolvents_certify_the_kronecker_solve(case):
+    split, part, channel, z, rhs = case
+    resolvent = split.resolvent(z, part)
     x = resolvent.solve(rhs)
-    assert "lu" not in resolvent.__dict__  # conjugate gradients certified every column
-    lu = spla.splu(shifted)
-    want = lu.solve(rhs)
-    for j in range(3):
-        col = rhs[:, j]
-        assert np.linalg.norm(shifted @ x[:, j] - col) <= 1e-12 * np.linalg.norm(col)
+    assert "lu" not in resolvent.__dict__  # the Kronecker solve certified every column
+    shifted = channel.to_sparse() - z * sp.identity(channel.dim)
+    want = _Resolvent(channel, z).solve(rhs)  # the LU path
+    assert x.shape == want.shape == rhs.shape
+    cols, x, want = (a.reshape(channel.dim, -1) for a in (rhs, x, want))
+    for j in range(cols.shape[1]):
+        assert np.linalg.norm(shifted @ x[:, j] - cols[:, j]) <= 1e-12 * np.linalg.norm(cols[:, j])
         assert np.linalg.norm(x[:, j] - want[:, j]) <= 1e-12 * np.linalg.norm(want[:, j])
-        one = resolvent.solve(col)
-        assert np.linalg.norm(one - x[:, j]) <= 1e-12 * np.linalg.norm(x[:, j])
-    assert "lu" not in resolvent.__dict__
-
-
-def test_an_underflowing_conjugate_gradient_column_goes_to_lu_without_a_warning():
-    # m = 1e-130·I is positive definite, but p·(m p) underflows to 0 on the
-    # first step; the column turns NaN, stops, and the LU path solves it
-    m = Operator.diagonal(np.full(3, 1e-130))
-    resolvent = _Resolvent(m, 0.0)
-    assert resolvent.positive is not None
-    x = resolvent.solve(np.full(3, 1e-131))  # a numpy warning would fail here
-    assert np.allclose(x, 0.1, rtol=1e-15, atol=0.0)
-    assert "lu" in resolvent.__dict__
-
-
-def test_resolvent_keeps_the_lu_path_off_the_certificate():
-    # fully populated random splits, a complex shift, and z at or above the
-    # bottom of σ(H0) are all solved by SuperLU, as before conjugate gradients
-    for seed in range(20):
-        split = random_split(4, 6, seed=seed)
-        z = float(np.linalg.eigvalsh(split.total().materialize())[0])
-        assert _Resolvent(split.h0, z).positive is None
-    model = LatticeModel(N=3, L=4, boundary="ring", potential=PairPotential.onsite(-4.0))
-    h0 = hamiltonian_terms(model)[0]
-    below = _gershgorin_lower(h0.to_sparse()) - 1.0
-    assert _Resolvent(h0, below).positive is not None
-    assert _Resolvent(h0, complex(below)).positive is None
-    assert _Resolvent(h0, 0.0).positive is None  # Gershgorin bound 0: not a proof
-    with pytest.raises(SingularMatrixError):
-        linear_solve(h0, 0.0, np.ones(h0.dim))  # the ring's constant mode
-    box = LatticeModel(N=3, L=4, potential=PairPotential.onsite(-4.0))
-    h0 = hamiltonian_terms(box)[0]
-    bottom = float(h0_spectrum(box)[0])
-    assert _Resolvent(h0, bottom).positive is None
-    with pytest.raises(SingularMatrixError):
-        linear_solve(h0, bottom, np.ones(h0.dim))
-    # diagonally dominant but not symmetric: no positive-definiteness proof
-    skew = sp.diags([-1.0, 4.0, -0.5], [-1, 0, 1], shape=(30, 30), format="csr")
-    assert _Resolvent(skew, -1.0).positive is None
-    x = linear_solve(skew, -1.0, np.ones(30))
-    assert np.linalg.norm(skew @ x + x - 1.0) <= 1e-12 * np.sqrt(30)
 
 
 def test_uncertified_columns_fall_back_to_the_lu_path(monkeypatch):
-    model = LatticeModel(N=3, L=4, potential=PairPotential.gaussian(-3.0, 1.0))
-    h0 = hamiltonian_terms(model)[0]
-    z = _gershgorin_lower(h0.to_sparse()) - 2.0
-    rhs = np.random.default_rng(5).standard_normal((h0.dim, 3))
-    real_cg, factored = blockops._conjugate_gradients, []
+    split = build_split(LatticeModel(N=3, L=4, potential=PairPotential.gaussian(-3.0, 1.0)))
+    rhs = np.random.default_rng(5).standard_normal((split.dim, 3))
+    real_solve, factored = lattice._KroneckerSolver.solve, []
+    for part, z in ((None, -9.5), (1, -9.5), (2, 2.5 + 0.5j)):
+        kronecker = real_solve(split.channels[0 if part is None else part + 1].solver(z), rhs)
 
-    def spoiled(m, b):  # column 1 misses the residual target
-        x = real_cg(m, b)
-        x[:, 1] *= 1.0 + 1e-6
-        return x
+        def spoiled(self, b):  # column 1 misses the residual target
+            x = real_solve(self, b)
+            x[:, 1] *= 1.0 + 1e-6
+            return x
 
-    monkeypatch.setattr(blockops, "_conjugate_gradients", spoiled)
-    monkeypatch.setattr(blockops, "_splu", lambda m, real=blockops._splu: factored.append(1) or real(m))
-    resolvent = _Resolvent(h0, z)
-    x = resolvent.solve(rhs)
-    assert factored == [1]
-    shifted = h0.to_sparse() - z * sp.identity(h0.dim)
-    for j in range(3):
-        assert np.linalg.norm(shifted @ x[:, j] - rhs[:, j]) <= 1e-12 * np.linalg.norm(rhs[:, j])
-    assert np.array_equal(x[:, [0, 2]], real_cg(resolvent.positive, rhs)[:, [0, 2]])
+        monkeypatch.setattr(lattice._KroneckerSolver, "solve", spoiled)
+        monkeypatch.setattr(blockops, "_splu",
+                            lambda m, real=blockops._splu: factored.append(1) or real(m))
+        del factored[:]
+        x = split.resolvent(z, part).solve(rhs)
+        assert factored == [1]
+        monkeypatch.undo()
+        channel = split.h0 if part is None else split.h0 + split.potentials[part]
+        assert x[:, 1].tobytes() == _Resolvent(channel, z).solve(rhs)[:, 1].tobytes()
+        assert x[:, [0, 2]].tobytes() == kronecker[:, [0, 2]].tobytes()
+
+
+def test_a_singular_channel_still_raises_its_energy_error():
+    split = build_split(LatticeModel(N=3, L=4, potential=PairPotential.onsite(-4.0)))
+    psi = np.ones(split.dim)
+    bottom = float(split.channel_spectrum()[0])
+    with pytest.raises(SingularMatrixError):
+        split.resolvent(bottom).solve(psi)
+    with pytest.raises(SpuriousEnergyError):
+        lippmann_schwinger_residual(split, bottom, psi)
+    with pytest.raises(SpuriousEnergyError):
+        faddeev_components(split, bottom, psi, eigenpair_tol=np.inf)
+    ring = build_split(LatticeModel(N=3, L=4, boundary="ring", potential=PairPotential.onsite(-4.0)))
+    with pytest.raises(SingularMatrixError):
+        ring.resolvent(0.0).solve(psi)  # the ring's constant mode
+    # pairs 12 and 13 share their channel spectrum; pair 23's is its own
+    split = build_split(LatticeModel(N=3, L=4, potential=PairPotential.onsite(-4.0),
+                                     per_pair={(2, 3): PairPotential.onsite(-7.0)}))
+    for part in (0, 2):
+        z = float(split.channel_spectrum(part)[0])
+        with pytest.raises(ChannelEnergyError) as exc_info:
+            faddeev_integral_map(split, z, [psi] * split.n)
+        assert exc_info.value.pair == part
+    system = YakubovskySystem(
+        split=build_split(LatticeModel(N=4, L=3, potential=PairPotential.onsite(-3.0))))
+    z = float(system.split.channel_spectrum(0)[0])
+    faddeev = FaddeevComponents(z=z, components=tuple(np.ones((6, system.dim))))
+    with pytest.raises(ChannelEnergyError) as exc_info:
+        yakubovsky_components(system, z, faddeev)
+    assert exc_info.value.pair == system.pairs[0]
+    # without channels every solve is the LU path's, as before
+    skew = sp.diags([-1.0, 4.0, -0.5], [-1, 0, 1], shape=(30, 30), format="csr")
+    x = linear_solve(skew, -1.0, np.ones(30))
+    assert np.linalg.norm(skew @ x + x - 1.0) <= 1e-12 * np.sqrt(30)
 
 
 def test_shift_invert_standard_problem():

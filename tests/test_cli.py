@@ -13,7 +13,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from fykit import blockops, cli, hardcore, lattice, yakubovsky
+from fykit import blockops, cli, hardcore, lattice
 from fykit.cli import _ALLOWED_KEYS, RunConfig, load_config
 from fykit.errors import ConfigError
 from fykit.faddeev import FewBodySplit
@@ -397,7 +397,8 @@ def _spy_on_factorizations(monkeypatch, solver_name):
 
 
 def test_solve3_factors_only_h_minus_z(monkeypatch, capsys, tmp_path):
-    # the Lippmann–Schwinger check solves H0 − z by conjugate gradients
+    # the Lippmann–Schwinger check solves H0 − z by its Kronecker solve, certified
+    # against the assembled H0 − z
     calls = _spy_on_factorizations(monkeypatch, "shift_invert_eigenpair")
     assert cli.main(["solve3", "--config", _preset_with_target(tmp_path, "tiny3", "auto")]) == 0
     capsys.readouterr()
@@ -445,41 +446,12 @@ def test_solve4_diagonalizes_each_distinct_pair_factor_once(monkeypatch, capsys,
 
 
 def test_solve4_factors_only_inside_the_solve(monkeypatch, capsys, gaussian4_cfg):
-    # the chain-sum check's faddeev_components solves H0 − z by conjugate gradients
+    # the chain-sum check's faddeev_components solves H0 − z by its Kronecker solve,
+    # certified against the assembled H0 − z
     calls = _spy_on_factorizations(monkeypatch, "solve_fourbody_ground_state")
     assert cli.main(["solve4", "--config", gaussian4_cfg]) == 0
     assert "total reconstruction defect" in capsys.readouterr().out
     assert calls and all(calls)
-
-
-def test_shift_invert_factorizations_build_no_certificate(monkeypatch, capsys):
-    # the Gershgorin certificate is built for certified solves and estimates
-    # only; inverse iteration's factorizations take the bare LU solve
-    inside, built, solves = [], [], []
-    real_solve, real_certificate = blockops.shift_invert_eigenpair, blockops._gershgorin_positive
-
-    def solve(*args, **kwargs):
-        inside.append(True)
-        solves.append(True)
-        try:
-            return real_solve(*args, **kwargs)
-        finally:
-            inside.pop()
-
-    for module in (cli, yakubovsky, hardcore):  # each caller's own binding
-        monkeypatch.setattr(module, "shift_invert_eigenpair", solve)
-    monkeypatch.setattr(blockops, "_gershgorin_positive",
-                        lambda m: built.append(bool(inside)) or real_certificate(m))
-    for argv, checks in ((["solve3", "--config", "tiny3"], True),
-                         (["solve4", "--config", "tiny4"], True),
-                         (["hardcore3", "--config", "tiny3", "--sweep", "none,0,1"], False)):
-        del built[:], solves[:]
-        assert cli.main(argv) == 0
-        assert solves, argv[0]
-        assert True not in built, argv[0]
-        # the post-hoc checks of solve3 and solve4 do build one, outside the solve
-        assert (False in built) == checks, argv[0]
-    capsys.readouterr()
 
 
 def test_output_path_key_writes_the_stdout_bytes(tmp_path):

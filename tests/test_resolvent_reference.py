@@ -2,12 +2,12 @@
 
 Before ``_Resolvent`` owned every SuperLU factorization, shift-invert factored
 A − z·B through ``_shifted_factor`` and ``_SparseFactor``, and the certified
-solves went through a ``_Resolvent`` that copied A, built its Gershgorin
-certificate on construction and reported every SuperLU failure as
-:class:`SingularMatrixError`. The transcriptions below are those classes as
-they were; the properties check that the one class gives the same bytes: the
-solutions, the raised exception types and the choice between conjugate
-gradients and LU.
+solves went through a ``_Resolvent`` that copied A and reported every SuperLU
+failure as :class:`SingularMatrixError`. The transcriptions below are those
+classes as they were, less the old certified solve's conjugate-gradient
+branch: a ``_Resolvent`` given no first solver takes the LU path for every
+column. The properties check that the one class gives the same bytes: the
+solutions and the raised exception types.
 
 The two old A − z·I constructions differ at z = ±0 on complex matrices with
 signed-zero entries: ``_shifted_factor`` subtracted the stored zeros of
@@ -73,7 +73,6 @@ class _OldResolvent:
         mat = _old_solver_matrix(a)
         self.dtype = np.result_type(mat.dtype, type(z))
         self.shifted = mat - blockops._diagonal_csr(z * np.ones(mat.shape[0]))
-        self.positive = self.shifted if blockops._gershgorin_positive(self.shifted) else None
 
     @functools.cached_property
     def m(self):
@@ -93,20 +92,9 @@ class _OldResolvent:
 
     def solve(self, rhs):
         b = np.ascontiguousarray(rhs, dtype=np.result_type(self.dtype, np.asarray(rhs).dtype))
-        if self.positive is not None:
-            return self._cg_solve(b)
         cols = b.reshape(b.shape[0], -1)
         x = np.zeros_like(cols)
         for j in range(cols.shape[1]):
-            x[:, j] = self._lu_solve(cols[:, j])
-        return x.reshape(b.shape)
-
-    def _cg_solve(self, b):
-        cols = b.reshape(b.shape[0], -1)
-        x = blockops._conjugate_gradients(self.positive, cols)
-        res = np.linalg.norm(cols - self.positive @ x, axis=0)
-        certified = res <= blockops._REFINE_TARGET * np.linalg.norm(cols, axis=0)
-        for j in np.flatnonzero(~certified):
             x[:, j] = self._lu_solve(cols[:, j])
         return x.reshape(b.shape)
 
@@ -182,14 +170,12 @@ def check_against_the_references(a, z, rhs, b=None):
         return
     # the certified solve, against the old _Resolvent
     old, new = _OldResolvent(a, z), _Resolvent(a, z)
-    assert "positive" not in new.__dict__  # the certificate waits for its first use
     got, want = _outcome(lambda: new.solve(rhs)), _outcome(lambda: old.solve(rhs))
-    event(f"certified: {'cg' if old.positive is not None else 'lu'}, {_kind(want)}")
+    event(f"certified: {_kind(want)}")
     if got is ShiftSingularError:  # an LU that failed to factor, a SingularMatrixError before
         assert want is SingularMatrixError and _outcome(lambda: old.lu) is SingularMatrixError
     else:
         assert got == want
-    assert (new.positive is None) == (old.positive is None)
 
 
 # ----------------------------------------------------------------------
@@ -221,7 +207,7 @@ def _near(values, offset):
 @st.composite
 def lattice_operands(draw):
     """H, H0 or a channel H0 + Vα of a small lattice, at a shift that is
-    random, below the Gershgorin bound, or at or next to an eigenvalue of H0."""
+    random, far below σ(H0), or at or next to an eigenvalue of H0."""
     model = LatticeModel(
         N=draw(st.integers(min_value=2, max_value=3)),
         L=draw(st.integers(min_value=3, max_value=5)),

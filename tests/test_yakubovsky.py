@@ -97,7 +97,7 @@ def test_chain_components_solve_coupled_equations(tiny4_ground, tiny4_system):
 
 def test_chain_components_solve_each_channel_once(monkeypatch, tiny4_ground, tiny4_system):
     # one block solve per distinct channel H0 + Vα, with the pair's three chains
-    # as its columns; below every Gershgorin disc they need no factorization
+    # as its columns; the channel's Kronecker solve certifies them, so nothing is factored
     gs, fc, yc = tiny4_ground
     blocks, calls = [], []
     real_solve, real_splu = blockops._Resolvent.solve, spla.splu
