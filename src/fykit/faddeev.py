@@ -127,9 +127,7 @@ class FewBodySplit:
         operator; the rest, and every column without ``channels``, go
         through SuperLU and refinement.
         """
-        first = None
-        if self.channels is not None:
-            first = functools.partial(self.channels[0 if part is None else part + 1].solver, z)
+        first = None if self.channels is None else functools.partial(self.channel_solver, z, part)
         return _Resolvent(self._channel(part), z, first=first)
 
     def channel_groups(self, z) -> list:
